@@ -31,11 +31,18 @@ const tinySrc = `
 // newWorker spins up one real warpd worker over httptest.
 func newWorker(t *testing.T, opt service.Options) (*httptest.Server, *metrics.Registry) {
 	t.Helper()
+	return newWrappedWorker(t, opt, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedWorker is newWorker with the worker's handler wrapped, so a
+// test can intercept the requests the coordinator sends it.
+func newWrappedWorker(t *testing.T, opt service.Options, wrap func(http.Handler) http.Handler) (*httptest.Server, *metrics.Registry) {
+	t.Helper()
 	if opt.Metrics == nil {
 		opt.Metrics = metrics.New()
 	}
 	srv := service.New(opt)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { _ = srv.Drain(context.Background()) })
 	return ts, opt.Metrics
@@ -114,14 +121,30 @@ func openStore(t *testing.T, dir string) *store.Store {
 // different callers produce exactly one dispatch to the pool and one
 // worker-side execution.
 func TestClusterCoalescing(t *testing.T) {
-	w1, reg1 := newWorker(t, service.Options{Workers: 2, QueueDepth: 16})
-	w2, reg2 := newWorker(t, service.Options{Workers: 2, QueueDepth: 16})
+	// The workers hold the coordinator's dispatch until every Submit
+	// below has returned. Dispatch is asynchronous, so each submission
+	// finds the job still in flight however fast a worker would finish
+	// it, and the coalescing count is exact rather than a race.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseDispatch := func() { releaseOnce.Do(func() { close(release) }) }
+	holdSubmits := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	w1, reg1 := newWrappedWorker(t, service.Options{Workers: 2, QueueDepth: 16}, holdSubmits)
+	w2, reg2 := newWrappedWorker(t, service.Options{Workers: 2, QueueDepth: 16}, holdSubmits)
 	reg := metrics.New()
 	_, c := newCoordinator(t, cluster.Options{
 		Workers:       []string{w1.URL, w2.URL},
 		Metrics:       reg,
 		ProbeInterval: time.Hour,
 	})
+	t.Cleanup(releaseDispatch) // runs first: never leave a handler blocked
 	ctx := context.Background()
 
 	spec := &client.JobSpec{Source: tinySrc}
@@ -141,6 +164,7 @@ func TestClusterCoalescing(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	releaseDispatch()
 	for i := 1; i < n; i++ {
 		if ids[i] != ids[0] {
 			t.Fatalf("submission %d got ID %s, submission 0 got %s", i, ids[i], ids[0])

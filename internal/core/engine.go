@@ -75,6 +75,7 @@ type Engine struct {
 	perturb PerturbPhys
 	onError func(ErrorEvent)
 	met     *metrics.DMR // never nil; built from a nil registry by default
+	tally   dmrTally     // plain per-SM counts, published by FlushMetrics
 
 	// policy gates which eligible instructions are verified. nil means
 	// protect everything (PolicyFull) with zero per-issue cost — the
@@ -98,6 +99,20 @@ type Engine struct {
 	pairBuf [32]Pairing // scratch for intra-warp RFU pairing
 }
 
+// dmrTally is the engine's share of the dmr.* metrics that Stats does
+// not already count. The hot path bumps these plain fields; FlushMetrics
+// publishes them, with the Stats mirrors, once per launch.
+type dmrTally struct {
+	qHigh           int // ReplayQ high-water mark
+	depthHist       metrics.Tally
+	pairings        int64
+	missedLanes     int64
+	clusterPairings [32]int64 // by cluster index of the active lane
+	laneReplays     [32]int64 // temporal replays by physical lane
+	verifyLatency   metrics.Tally
+	detectLatency   metrics.Tally
+}
+
 // NewEngine builds the DMR engine for SM smID. st must not be nil;
 // perturb and onError may be nil.
 func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, onError func(ErrorEvent)) *Engine {
@@ -111,9 +126,9 @@ func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, 
 		intra:   cfg.DMR == arch.DMRIntra || cfg.DMR == arch.DMRFull,
 		inter:   cfg.DMR == arch.DMRInter || cfg.DMR == arch.DMRFull,
 		dmtr:    cfg.DMR == arch.DMRTemporalAll,
-		met:     metrics.ForDMR(nil, cfg.WarpSize, cfg.ClusterSize),
 		policy:  CompilePolicy(cfg.Policy, ""),
 	}
+	e.SetMetrics(nil)
 	if cfg.ReplayQSize > 0 {
 		e.q = make([]qEntry, 0, cfg.ReplayQSize)
 	}
@@ -125,13 +140,55 @@ func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, 
 }
 
 // SetMetrics points the engine at a pre-resolved DMR instrument set
-// (see internal/metrics.ForDMR). Passing nil restores the default
-// no-op set. Call before the first Issue.
+// (see internal/metrics.ForDMR) that FlushMetrics publishes into.
+// Passing nil restores the default no-op set. Call before the first
+// Issue: it resets the engine's tallies.
 func (e *Engine) SetMetrics(m *metrics.DMR) {
 	if m == nil {
 		m = metrics.ForDMR(nil, e.cfg.WarpSize, e.cfg.ClusterSize)
 	}
 	e.met = m
+	e.tally = dmrTally{
+		depthHist:     m.ReplayQDepthHist.Tally(),
+		verifyLatency: m.VerifyLatency.Tally(),
+		detectLatency: m.DetectionLatency.Tally(),
+	}
+}
+
+// FlushMetrics publishes the engine's launch into its instrument set:
+// the tallies, and the counters that equal a field of the SM's Stats,
+// read from those Stats. The launch calls it once, on whichever path it
+// returns by; the ReplayQ depth gauge takes the queue's occupancy at
+// that moment and the high-water mark the engine saw.
+func (e *Engine) FlushMetrics() {
+	m, t, st := e.met, &e.tally, e.st
+	m.ReplayQDepth.Publish(int64(len(e.q)), int64(t.qHigh))
+	m.ReplayQDepthHist.Publish(&t.depthHist)
+	m.ReplayQEnqueued.Add(st.ReplayEnq)
+	m.OverflowStalls.Add(st.StallReplayQFull)
+	m.RAWFlushStalls.Add(st.StallRAWUnverif)
+	m.CoexecReplays.Add(st.ReplayCoexec)
+	m.IdleDrainReplays.Add(st.ReplayIdleDrain)
+	m.IntraVerified.Add(st.VerifiedIntra)
+	m.InterVerified.Add(st.VerifiedInter)
+	m.PolicyProtected.Add(st.ProtectedTI)
+	m.PolicySkipped.Add(st.SkippedTI)
+	m.RFUPairings.Add(t.pairings)
+	m.RFUCoveredLanes.Add(st.VerifiedIntra) // one covered lane per intra-verified thread
+	m.RFUMissedLanes.Add(t.missedLanes)
+	for i, c := range m.ClusterPairings {
+		if i < len(t.clusterPairings) && t.clusterPairings[i] != 0 {
+			c.Add(t.clusterPairings[i])
+		}
+	}
+	for i, c := range m.ShuffleLaneUsed {
+		if i < len(t.laneReplays) && t.laneReplays[i] != 0 {
+			c.Add(t.laneReplays[i])
+		}
+	}
+	m.VerifyLatency.Publish(&t.verifyLatency)
+	m.DetectionLatency.Publish(&t.detectLatency)
+	m.Detections.Add(st.FaultsDetected)
 }
 
 // SetPolicy installs the launch-resolved protection policy (see
@@ -141,8 +198,12 @@ func (e *Engine) SetMetrics(m *metrics.DMR) {
 // everything. Call before the first Issue.
 func (e *Engine) SetPolicy(p ProtectionPolicy) { e.policy = p }
 
-// noteQueueDepth publishes the current ReplayQ occupancy.
-func (e *Engine) noteQueueDepth() { e.met.ReplayQDepth.Set(int64(len(e.q))) }
+// noteQueueDepth tracks the ReplayQ high-water mark.
+func (e *Engine) noteQueueDepth() {
+	if len(e.q) > e.tally.qHigh {
+		e.tally.qHigh = len(e.q)
+	}
+}
 
 // QueueLen returns the current ReplayQ occupancy.
 func (e *Engine) QueueLen() int { return len(e.q) }
@@ -180,7 +241,6 @@ func (e *Engine) IdleCycle(now int64) {
 		e.hasPending = false
 		e.verify(e.pendingEnt.issueInfo(), now)
 		e.st.ReplayCoexec++
-		e.met.CoexecReplays.Inc()
 	}
 	e.drainIdleUnits(used, now)
 }
@@ -205,7 +265,6 @@ func (e *Engine) drainIdleUnits(used [3]bool, now int64) {
 		e.noteQueueDepth()
 		e.verify(ent.issueInfo(), now)
 		e.st.ReplayIdleDrain++
-		e.met.IdleDrainReplays.Inc()
 		if used[0] && used[1] && used[2] {
 			return
 		}
@@ -228,7 +287,6 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 			e.hasPending = false
 			e.verify(e.pendingEnt.issueInfo(), info.Cycle)
 			e.st.ReplayCoexec++
-			e.met.CoexecReplays.Inc()
 		}
 		return 0
 	}
@@ -250,14 +308,12 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	// EligibleTI, so Coverage() reports what the policy actually bought.
 	if e.policy != nil && !e.policy.Protect(PolicyFacts{WarpGID: info.WarpGID, PC: rec.PC, Active: int(eligible)}) {
 		e.st.SkippedTI += eligible
-		e.met.PolicySkipped.Add(eligible)
 		if e.hasPending {
 			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)
 		}
 		return stall
 	}
 	e.st.ProtectedTI += eligible
-	e.met.PolicyProtected.Add(eligible)
 
 	// RAW on unverified results: a consumer may not read a value whose
 	// producer is still buffered in the ReplayQ. Verify such producers
@@ -309,7 +365,6 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 		used[pUnit] = true
 		e.verify(p.issueInfo(), now+1)
 		e.st.ReplayCoexec++
-		e.met.CoexecReplays.Inc()
 		return 0
 	}
 	// Same type: try to swap with a different-type ReplayQ entry.
@@ -325,7 +380,6 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 				used[u] = true
 				e.verify(ent.issueInfo(), now+1)
 				e.st.ReplayCoexec++
-				e.met.CoexecReplays.Inc()
 				return 0
 			}
 		}
@@ -340,15 +394,13 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 	// pipeline stall, reusing operands still live in the pipeline.
 	e.verify(p.issueInfo(), now+1)
 	e.st.StallReplayQFull++
-	e.met.OverflowStalls.Inc()
 	return 1
 }
 
-// noteEnqueue publishes a ReplayQ enqueue: the occupancy gauge and the
-// occupancy-at-enqueue histogram, plus the running enqueue total.
+// noteEnqueue tallies a ReplayQ enqueue: the occupancy-at-enqueue
+// histogram and the high-water mark.
 func (e *Engine) noteEnqueue() {
-	e.met.ReplayQEnqueued.Inc()
-	e.met.ReplayQDepthHist.Observe(int64(len(e.q)))
+	e.tally.depthHist.Observe(int64(len(e.q)))
 	e.noteQueueDepth()
 }
 
@@ -391,7 +443,6 @@ func (e *Engine) verifyRAWProducers(info IssueInfo) (stall int) {
 		if hits(ent) {
 			e.verify(ent.issueInfo(), info.Cycle)
 			e.st.StallRAWUnverif++
-			e.met.RAWFlushStalls.Inc()
 			stall++
 		} else {
 			kept = append(kept, *ent)
@@ -411,13 +462,11 @@ func (e *Engine) Drain(at int64) (cycles int) {
 		e.hasPending = false
 		e.verify(e.pendingEnt.issueInfo(), at+int64(cycles))
 		e.st.ReplayCoexec++
-		e.met.CoexecReplays.Inc()
 	}
 	for i := range e.q {
 		cycles++
 		e.verify(e.q[i].issueInfo(), at+int64(cycles))
 		e.st.ReplayIdleDrain++
-		e.met.IdleDrainReplays.Inc()
 	}
 	e.q = e.q[:0]
 	e.noteQueueDepth()
@@ -434,18 +483,12 @@ func (e *Engine) intraWarp(info IssueInfo) {
 	pairs, covered := e.table.PairWarpInto(info.Phys, e.cfg.WarpSize, e.pairBuf[:0])
 	e.st.VerifiedIntra += int64(covered)
 	e.st.RedundantOps[rec.Unit] += int64(len(pairs))
-	e.met.IntraVerified.Add(int64(covered))
-	e.met.RFUPairings.Add(int64(len(pairs)))
-	e.met.RFUCoveredLanes.Add(int64(covered))
+	e.tally.pairings += int64(len(pairs))
 	if missed := info.Phys.Count() - covered; missed > 0 {
-		e.met.RFUMissedLanes.Add(int64(missed))
+		e.tally.missedLanes += int64(missed)
 	}
 	for _, p := range pairs {
-		if c := p.Active / e.cfg.ClusterSize; c < len(e.met.ClusterPairings) {
-			e.met.ClusterPairings[c].Inc()
-		}
-	}
-	for _, p := range pairs {
+		e.tally.clusterPairings[p.Active/e.cfg.ClusterSize]++
 		thread := int(e.threadFor[p.Active])
 		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
 		if !ok {
@@ -457,8 +500,7 @@ func (e *Engine) intraWarp(info IssueInfo) {
 		}
 		if red != rec.Vals[thread] {
 			e.st.FaultsDetected++
-			e.met.Detections.Inc()
-			e.met.DetectionLatency.Observe(0) // spatial DMR verifies in the issue cycle
+			e.tally.detectLatency.Observe(0) // spatial DMR verifies in the issue cycle
 			if e.onError != nil {
 				e.onError(ErrorEvent{
 					SM: e.smID, Cycle: info.Cycle, WarpGID: info.WarpGID, PC: rec.PC, Thread: thread,
@@ -482,8 +524,7 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 	nexec := int64(rec.Executing.Count())
 	e.st.VerifiedInter += nexec
 	e.st.RedundantOps[rec.Unit] += nexec
-	e.met.InterVerified.Add(nexec)
-	e.met.VerifyLatency.Observe(at - info.Cycle)
+	e.tally.verifyLatency.Observe(at - info.Cycle)
 	// Hoist the lane-shuffle rotation out of the per-lane loop: the
 	// phase (and hence ShuffleLane's result per lane) is fixed for the
 	// whole replay, and cluster sizes are powers of two.
@@ -501,9 +542,7 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 			base := orig &^ cmask
 			verif = base + (orig-base+rot)&cmask
 		}
-		if verif < len(e.met.ShuffleLaneUsed) {
-			e.met.ShuffleLaneUsed[verif].Inc()
-		}
+		e.tally.laneReplays[verif]++
 		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
 		if !ok {
 			continue
@@ -514,8 +553,7 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 		}
 		if red != rec.Vals[thread] {
 			e.st.FaultsDetected++
-			e.met.Detections.Inc()
-			e.met.DetectionLatency.Observe(at - info.Cycle)
+			e.tally.detectLatency.Observe(at - info.Cycle)
 			if e.onError != nil {
 				e.onError(ErrorEvent{
 					SM: e.smID, Cycle: at, WarpGID: info.WarpGID, PC: rec.PC, Thread: thread,

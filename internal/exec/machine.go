@@ -35,9 +35,9 @@ type Opts struct {
 	SegBytes int // coalescing segment size (global/local accesses)
 	Banks    int // shared-memory bank count
 
-	// Metrics, when non-nil, receives branch-behaviour and bank-conflict
-	// counts as instructions execute (see internal/metrics.ForExec).
-	// Nil costs one branch per executed branch/shared access.
+	// Metrics, when non-nil, receives the branch-behaviour and
+	// bank-conflict counts (see internal/metrics.ForExec). Step tallies
+	// them in plain fields; FlushMetrics publishes them.
 	Metrics *metrics.Exec
 
 	// Perturb is the fault-injection hook; nil means fault-free.
@@ -61,6 +61,11 @@ type Machine struct {
 	met      *metrics.Exec
 	perturb  Perturb
 	rec      Record
+
+	// Plain tallies of the exec.* metrics, published by FlushMetrics.
+	divergentBranches int64
+	uniformBranches   int64
+	sharedBankExtra   int64
 }
 
 // NewMachine builds a Machine over a compiled program.
@@ -78,8 +83,17 @@ func NewMachine(c *Compiled, o Opts) *Machine {
 // Code returns the pre-decoded stream, indexed by PC.
 func (m *Machine) Code() []Decoded { return m.code }
 
-// SetMetrics replaces the pre-resolved exec instrument set.
-func (m *Machine) SetMetrics(em *metrics.Exec) { m.met = em }
+// FlushMetrics publishes the branch and bank-conflict tallies into the
+// instrument set given at construction (a no-op without one). Call
+// once, when the launch that owns the Machine returns.
+func (m *Machine) FlushMetrics() {
+	if m.met == nil {
+		return
+	}
+	m.met.DivergentBranches.Add(m.divergentBranches)
+	m.met.UniformBranches.Add(m.uniformBranches)
+	m.met.SharedBankExtra.Add(m.sharedBankExtra)
+}
 
 // SetPerturb replaces the fault-injection hook.
 func (m *Machine) SetPerturb(p Perturb) { m.perturb = p }
@@ -127,22 +141,16 @@ func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, er
 	switch {
 	case taken == active: // uniform taken (or unconditional)
 		ws.Ctl.Jump(d.Target)
-		if m.met != nil {
-			m.met.UniformBranches.Inc()
-		}
+		m.uniformBranches++
 	case taken == 0: // uniform not-taken
 		ws.Ctl.Advance()
-		if m.met != nil {
-			m.met.UniformBranches.Inc()
-		}
+		m.uniformBranches++
 	default:
 		rec.Divergent = true
 		if err := ws.Ctl.Diverge(taken, active, d.Target, rec.PC+1, d.Reconv); err != nil {
 			return nil, fmt.Errorf("exec: kernel %s pc %d: %w", m.prog.Name, rec.PC, err)
 		}
-		if m.met != nil {
-			m.met.DivergentBranches.Inc()
-		}
+		m.divergentBranches++
 	}
 	return rec, nil
 }
@@ -330,9 +338,7 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 	case isa.SpaceShared:
 		rec.BankSer = mem.BankConflictDegree(rec.Addrs[:], uint32(executing), m.banks)
 		rec.Segments = 1
-		if m.met != nil && rec.BankSer > 1 {
-			m.met.SharedBankExtra.Add(int64(rec.BankSer - 1))
-		}
+		m.sharedBankExtra += int64(rec.BankSer - 1)
 	case isa.SpaceGlobal, isa.SpaceParam, isa.SpaceLocal:
 		rec.Segments = mem.CoalesceSegments(rec.Addrs[:], uint32(executing), m.segBytes)
 		rec.BankSer = 1

@@ -115,6 +115,17 @@ func (inj *Injector) Perturb(smID int, cycle int64, physLane int, unit isa.UnitC
 	return golden, false
 }
 
+// CanFire implements sim.FaultHook: a fault can only fire on its own
+// SM, or on every SM when its SM is -1.
+func (inj *Injector) CanFire(smID int) bool {
+	for _, f := range inj.Faults {
+		if f.SM < 0 || f.SM == smID {
+			return true
+		}
+	}
+	return false
+}
+
 // Reset re-arms transient faults and clears activation counts so the
 // injector can be reused across runs.
 func (inj *Injector) Reset() {

@@ -110,3 +110,28 @@ func TestMultipleFaults(t *testing.T) {
 		t.Errorf("stacked faults: got %b", v)
 	}
 }
+
+// TestCanFire: an injector can fire only on the SMs its faults name,
+// or everywhere when a fault's SM is -1; a PC-targeted injector is
+// not tied to an SM.
+func TestCanFire(t *testing.T) {
+	inj := NewInjector(
+		&Fault{Kind: StuckAt, SM: 2, Lane: 1, Unit: isa.UnitSP},
+		&Fault{Kind: Transient, SM: 5, Lane: 1, Unit: isa.UnitSP},
+	)
+	for sm, want := range map[int]bool{0: false, 2: true, 4: false, 5: true} {
+		if got := inj.CanFire(sm); got != want {
+			t.Errorf("CanFire(%d) = %v, want %v", sm, got, want)
+		}
+	}
+	if NewInjector().CanFire(0) {
+		t.Error("an injector without faults can fire")
+	}
+	everywhere := NewInjector(&Fault{Kind: StuckAt, SM: -1, Lane: 1, Unit: isa.UnitSP})
+	if !everywhere.CanFire(0) || !everywhere.CanFire(29) {
+		t.Error("an SM -1 fault must be able to fire on every SM")
+	}
+	if !NewPCInjector("k", 3, 0).CanFire(7) {
+		t.Error("a PC injector must be able to fire on every SM")
+	}
+}

@@ -56,5 +56,9 @@ func (inj *PCInjector) Perturb(_ int, _ int64, _ int, _ isa.UnitClass, golden ui
 	return golden, false
 }
 
+// CanFire implements sim.FaultHook: a PC is not tied to a hardware
+// location, so the fault can fire on every SM.
+func (inj *PCInjector) CanFire(int) bool { return true }
+
 // Reset clears the activation count so the injector can be reused.
 func (inj *PCInjector) Reset() { inj.Activations = 0 }

@@ -1,8 +1,9 @@
-// Package mem models the GPGPU memory system: a flat global memory
-// with a bump allocator (standing in for cudaMalloc), per-block shared
-// memory, a read-only kernel parameter space, and the two access-cost
-// calculators the timing model needs — global coalescing into 128-byte
-// segments and shared-memory bank-conflict counting.
+// Package mem models the GPGPU memory system: a flat global memory,
+// paged on first store, with a bump allocator (standing in for
+// cudaMalloc), per-block shared memory, a read-only kernel parameter
+// space, and the two access-cost calculators the timing model needs —
+// global coalescing into 128-byte segments and shared-memory
+// bank-conflict counting.
 //
 // Warped-DMR assumes memory is ECC-protected (as on Fermi), so the
 // simulator treats loaded data as always correct and DMR only verifies
@@ -15,11 +16,22 @@ import (
 	"math"
 )
 
+// pageShift sizes the pages global memory is allocated in: 64 KB.
+const pageShift = 16
+
+// page is one allocated stretch of global memory, held as the 32-bit
+// little-endian words every global access reads and writes.
+type page [1 << (pageShift - 2)]uint32
+
 // Global is the device global memory: a flat byte-addressable space
-// shared by all SMs, plus a bump allocator.
+// shared by all SMs, plus a bump allocator. Storage is a table of
+// fixed-size pages allocated on first store; a load from a page never
+// stored to reads zero, as a zero-filled memory would. A large device
+// therefore costs only the pages a workload touches.
 type Global struct {
-	data []byte
-	brk  uint32
+	pages []*page
+	size  int
+	brk   uint32
 }
 
 // NewGlobal creates a global memory of the given size in bytes.
@@ -28,11 +40,12 @@ func NewGlobal(size int) *Global {
 	if size < 512 {
 		size = 512
 	}
-	return &Global{data: make([]byte, size), brk: 256}
+	n := (size + 1<<pageShift - 1) >> pageShift
+	return &Global{pages: make([]*page, n), size: size, brk: 256}
 }
 
 // Size returns the total size in bytes.
-func (g *Global) Size() int { return len(g.data) }
+func (g *Global) Size() int { return g.size }
 
 // Alloc reserves n bytes and returns the device address. Allocations
 // are 256-byte aligned, like cudaMalloc, so unit-stride warp accesses
@@ -42,8 +55,8 @@ func (g *Global) Alloc(n int) (uint32, error) {
 		return 0, fmt.Errorf("mem: negative allocation %d", n)
 	}
 	aligned := (uint32(n) + 255) &^ 255
-	if uint64(g.brk)+uint64(aligned) > uint64(len(g.data)) {
-		return 0, fmt.Errorf("mem: out of global memory (want %d, used %d of %d)", n, g.brk, len(g.data))
+	if uint64(g.brk)+uint64(aligned) > uint64(g.size) {
+		return 0, fmt.Errorf("mem: out of global memory (want %d, used %d of %d)", n, g.brk, g.size)
 	}
 	addr := g.brk
 	g.brk += aligned
@@ -65,15 +78,25 @@ func (g *Global) Load32(addr uint32) (uint32, error) {
 	if err := g.check(addr); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(g.data[addr:]), nil
+	p := g.pages[addr>>pageShift]
+	if p == nil {
+		return 0, nil
+	}
+	return p[addr%(1<<pageShift)/4], nil
 }
 
-// Store32 writes a 32-bit little-endian word.
+// Store32 writes a 32-bit little-endian word, allocating its page on
+// the first store to it.
 func (g *Global) Store32(addr, val uint32) error {
 	if err := g.check(addr); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(g.data[addr:], val)
+	p := g.pages[addr>>pageShift]
+	if p == nil {
+		p = new(page)
+		g.pages[addr>>pageShift] = p
+	}
+	p[addr%(1<<pageShift)/4] = val
 	return nil
 }
 
@@ -94,8 +117,8 @@ func (g *Global) check(addr uint32) error {
 	if addr%4 != 0 {
 		return fmt.Errorf("mem: misaligned 32-bit access at 0x%x", addr)
 	}
-	if uint64(addr)+4 > uint64(len(g.data)) {
-		return fmt.Errorf("mem: global access out of range at 0x%x (size 0x%x)", addr, len(g.data))
+	if uint64(addr)+4 > uint64(g.size) {
+		return fmt.Errorf("mem: global access out of range at 0x%x (size 0x%x)", addr, g.size)
 	}
 	return nil
 }

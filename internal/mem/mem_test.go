@@ -243,3 +243,74 @@ func TestAccessCostBoundsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGlobalPagedOnFirstStore: device memory allocates a page on the
+// first store to it, untouched pages read zero, and the address space,
+// bounds and error text are those of a flat memory of the same size.
+func TestGlobalPagedOnFirstStore(t *testing.T) {
+	const size = 64 << 20
+	g := NewGlobal(size)
+	if g.Size() != size {
+		t.Fatalf("Size = %d, want %d", g.Size(), size)
+	}
+	touched := func() int {
+		n := 0
+		for _, p := range g.pages {
+			if p != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if v, err := g.Load32(size - 4); err != nil || v != 0 {
+		t.Fatalf("untouched last word = %d, %v; want 0, nil", v, err)
+	}
+	if n := touched(); n != 0 {
+		t.Fatalf("%d pages allocated by loads, want 0", n)
+	}
+	// Two stores in one page, one in another, the last at the top word.
+	for _, a := range []uint32{256, 260, size - 4} {
+		if err := g.Store32(a, a^0xA5A5A5A5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := touched(); n != 2 {
+		t.Errorf("%d pages allocated, want 2", n)
+	}
+	for _, a := range []uint32{256, 260, size - 4} {
+		if v, _ := g.Load32(a); v != a^0xA5A5A5A5 {
+			t.Errorf("load 0x%x = %x, want %x", a, v, a^0xA5A5A5A5)
+		}
+	}
+	if v, _ := g.Load32(264); v != 0 {
+		t.Errorf("unwritten word in a touched page = %x, want 0", v)
+	}
+}
+
+// TestGlobalErrorsUnchanged pins the exact fault text, which reaches
+// job results as crash answers, on a size that is not a whole number
+// of pages.
+func TestGlobalErrorsUnchanged(t *testing.T) {
+	g := NewGlobal(100_000)
+	if err := g.Store32(99_996, 7); err != nil {
+		t.Fatalf("top word store: %v", err)
+	}
+	for _, c := range []struct {
+		addr uint32
+		want string
+	}{
+		{100_000, "mem: global access out of range at 0x186a0 (size 0x186a0)"},
+		{0xfffffffc, "mem: global access out of range at 0xfffffffc (size 0x186a0)"},
+		{6, "mem: misaligned 32-bit access at 0x6"},
+	} {
+		if _, err := g.Load32(c.addr); err == nil || err.Error() != c.want {
+			t.Errorf("Load32(0x%x) error %v, want %q", c.addr, err, c.want)
+		}
+		if err := g.Store32(c.addr, 1); err == nil || err.Error() != c.want {
+			t.Errorf("Store32(0x%x) error %v, want %q", c.addr, err, c.want)
+		}
+	}
+	if _, err := g.Alloc(200_000); err == nil || err.Error() != "mem: out of global memory (want 200000, used 256 of 100000)" {
+		t.Errorf("Alloc error %v", err)
+	}
+}

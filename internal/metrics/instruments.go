@@ -85,7 +85,8 @@ func ForExec(r *Registry) *Exec {
 // nil entries when the registry is nil), so index-then-bump is safe
 // without length checks.
 type DMR struct {
-	// ReplayQ occupancy: Depth is the live gauge (with high-water mark),
+	// ReplayQ occupancy: Depth is the gauge each launch publishes (the
+	// occupancy when it returned, and the peak as high-water mark),
 	// DepthHist the distribution observed at each enqueue, Enqueued the
 	// total entries buffered, OverflowStalls the issue-stall cycles
 	// charged because the queue was full, RAWFlushStalls the stall
@@ -166,6 +167,9 @@ func ForDMR(r *Registry, warpSize, clusterSize int) *DMR {
 		VerifyLatency:    r.Histogram("dmr.verify_latency_cycles", LatencyCycleBounds),
 		DetectionLatency: r.Histogram("dmr.detection_latency_cycles", LatencyCycleBounds),
 		Detections:       r.Counter("dmr.detections_total"),
+	}
+	if r == nil {
+		return m // nil entries throughout; skip formatting the names
 	}
 	for i := range m.ClusterPairings {
 		m.ClusterPairings[i] = r.Counter(fmt.Sprintf("dmr.rfu.cluster.%02d.pairings_total", i))

@@ -1,7 +1,10 @@
 // Package metrics is the observability layer of the simulator: a
 // low-overhead registry of named counters, gauges, and fixed-bucket
 // histograms that the pipeline (SMs, the Warped-DMR engine, the
-// functional executor, the run orchestrator) bumps while it works.
+// functional executor, the run orchestrator) reports into. The
+// simulator's per-SM layers count in plain fields and Tally values and
+// publish once per launch; the service layers bump instruments as
+// events happen.
 //
 // The design goals, in priority order:
 //
@@ -11,7 +14,8 @@
 //     therefore instrument unconditionally and let the caller decide
 //     whether metrics exist at all.
 //   - Zero allocation on the hot path. Instruments are resolved by name
-//     once, at setup time; Add/Set/Observe touch only atomics.
+//     once, at setup time; Add/Set/Observe touch only atomics, and
+//     Tally.Observe touches only its owner's plain fields.
 //   - Safe for concurrent use. Counters and gauges are single atomics;
 //     histograms use one atomic per bucket. A registry shared across
 //     the worker pool of Runner.RunMany or experiments.Engine
@@ -86,6 +90,17 @@ func (g *Gauge) Add(d int64) {
 	g.raiseHigh(g.v.Add(d))
 }
 
+// Publish stores v as the gauge value and raises the high-water mark to
+// high: the flush of a single-owner tracker that kept its own peak
+// between publications.
+func (g *Gauge) Publish(v, high int64) {
+	if g == nil {
+		return
+	}
+	g.v.Store(v)
+	g.raiseHigh(high)
+}
+
 func (g *Gauge) raiseHigh(v int64) {
 	for {
 		h := g.high.Load()
@@ -145,6 +160,58 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.counts[len(h.bounds)].Add(1)
+}
+
+// Tally returns an empty single-owner accumulator with h's bucket
+// layout, for a hot loop to Observe into and Publish later. On a nil
+// histogram it returns the zero Tally, whose Observe is a no-op.
+func (h *Histogram) Tally() Tally {
+	if h == nil {
+		return Tally{}
+	}
+	return Tally{bounds: h.bounds, counts: make([]int64, len(h.counts))}
+}
+
+// Publish adds a tally's observations to h with one atomic add per
+// non-empty bucket. t must come from h.Tally.
+func (h *Histogram) Publish(t *Tally) {
+	if h == nil || t.count == 0 {
+		return
+	}
+	h.count.Add(t.count)
+	h.sum.Add(t.sum)
+	for i, c := range t.counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+}
+
+// Tally is a plain, non-atomic histogram accumulator owned by one
+// goroutine: a per-SM hot loop observes into it and publishes it once
+// with Histogram.Publish, so the loop itself touches no shared cache
+// lines. The zero Tally (from a nil histogram) discards observations.
+type Tally struct {
+	bounds []int64
+	counts []int64 // len(bounds)+1; last is the overflow bucket
+	count  int64
+	sum    int64
+}
+
+// Observe records one value.
+func (t *Tally) Observe(v int64) {
+	if t.counts == nil {
+		return
+	}
+	t.count++
+	t.sum += v
+	for i, b := range t.bounds {
+		if v <= b {
+			t.counts[i]++
+			return
+		}
+	}
+	t.counts[len(t.bounds)]++
 }
 
 // Count returns the total number of observations (0 on nil).

@@ -259,3 +259,42 @@ func TestPublishIdempotent(t *testing.T) {
 	Publish("warped_metrics_test", r)
 	Publish("warped_metrics_test", r) // must not panic
 }
+
+// TestTallyPublish: a tally observed then published leaves a histogram
+// exactly as direct observation would; a tally from a nil histogram
+// discards, and Gauge.Publish keeps the larger high-water mark.
+func TestTallyPublish(t *testing.T) {
+	bounds := []int64{0, 2, 8}
+	direct := New().Histogram("h", bounds)
+	viaTally := New().Histogram("h", bounds)
+	tally := viaTally.Tally()
+	for _, v := range []int64{-1, 0, 1, 2, 3, 8, 9, 100} {
+		direct.Observe(v)
+		tally.Observe(v)
+	}
+	viaTally.Publish(&tally)
+	viaTally.Publish(new(Tally)) // an empty tally adds nothing
+	snap := func(h *Histogram) string {
+		r := New()
+		r.hists["h"] = h
+		return r.Snapshot().String()
+	}
+	if a, b := snap(direct), snap(viaTally); a != b {
+		t.Errorf("published tally differs from direct observation:\n%s\n%s", b, a)
+	}
+
+	var nilHist *Histogram
+	discard := nilHist.Tally()
+	discard.Observe(5)
+	nilHist.Publish(&discard)
+	if discard.count != 0 {
+		t.Error("tally from a nil histogram recorded an observation")
+	}
+
+	g := New().Gauge("g")
+	g.Publish(3, 9)
+	g.Publish(1, 4)
+	if g.Value() != 1 || g.High() != 9 {
+		t.Errorf("gauge value/high = %d/%d, want 1/9", g.Value(), g.High())
+	}
+}

@@ -96,10 +96,12 @@ type LaunchOpts struct {
 	Trace trace.Sink
 
 	// Metrics, when non-nil, receives the launch's operational counters
-	// (see docs/OBSERVABILITY.md for the metric contract). The registry
-	// is safe to share across concurrent launches: counters are atomic
-	// and accumulate across everything wired to it. A nil registry costs
-	// one predictable branch per bump site.
+	// (see docs/OBSERVABILITY.md for the metric contract). Each SM
+	// tallies them in plain fields and the launch publishes them once,
+	// on every return path, so the registry moves per launch, not
+	// mid-launch. It is safe to share across concurrent launches:
+	// publication is atomic and accumulates across everything wired to
+	// it.
 	Metrics *metrics.Registry
 }
 
@@ -210,23 +212,29 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 		return nil, err
 	}
 	// Resolve instrument sets once per launch; all SMs of the launch
-	// share them (bumps are atomic). With opts.Metrics nil these are
-	// all-nil no-op sets, so the hot path pays only the nil branch.
-	simMet := metrics.ForSim(opts.Metrics)
-	execMet := metrics.ForExec(opts.Metrics)
-	dmrMet := metrics.ForDMR(opts.Metrics, g.Cfg.WarpSize, g.Cfg.ClusterSize)
+	// publish into them when it returns. With opts.Metrics nil these are
+	// all-nil no-op sets.
+	met := launchMetrics{
+		sim:  metrics.ForSim(opts.Metrics),
+		exec: metrics.ForExec(opts.Metrics),
+		dmr:  metrics.ForDMR(opts.Metrics, g.Cfg.WarpSize, g.Cfg.ClusterSize),
+	}
 	// Resolve the protection policy once per launch, against the real
 	// kernel name (NewEngine compiled it with an empty name). PolicyFull
 	// compiles to nil, leaving the issue path byte-identical.
 	pol := core.CompilePolicy(g.Cfg.Policy, k.Prog.Name)
 	for i := range sms {
-		sms[i] = newSM(i, g, comp, opts.Fault, onError)
-		sms[i].met = simMet
-		sms[i].machine.SetMetrics(execMet)
-		sms[i].engine.SetMetrics(dmrMet)
+		sms[i] = newSM(i, g, comp, opts.Fault, onError, met)
 		sms[i].engine.SetPolicy(pol)
 		perSM[i] = sms[i].stats()
 	}
+	// Every return from here on (completion, crash, deadlock, watchdog,
+	// cancellation, StopOnError) publishes what the SMs tallied.
+	defer func() {
+		for _, s := range sms {
+			s.publishMetrics()
+		}
+	}()
 	if opts.TrackRAW {
 		// Paper Fig. 8b tracks warp 1 ("thread 32"), falling back to
 		// warp 0 when blocks have a single warp.

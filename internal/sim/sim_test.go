@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"warped/internal/arch"
@@ -9,6 +10,7 @@ import (
 	isa2 "warped/internal/isa"
 	"warped/internal/mem"
 	"warped/internal/simt"
+	"warped/internal/stats"
 	"warped/internal/trace"
 )
 
@@ -596,11 +598,73 @@ func TestStopOnError(t *testing.T) {
 
 type stuckLaneHook struct{ lane int }
 
+func (stuckLaneHook) CanFire(int) bool { return true }
+
 func (h stuckLaneHook) Perturb(sm int, cyc int64, lane int, u isa2.UnitClass, golden uint32) (uint32, bool) {
 	if lane == h.lane && u == isa2.UnitSP {
 		return golden | 1<<30, golden&(1<<30) == 0
 	}
 	return golden, false
+}
+
+// smRecordingHook corrupts lane 0's SP results on the SMs it claims
+// and records every SM it is asked about.
+type smRecordingHook struct {
+	fires  map[int]bool // SM -> CanFire answer
+	called map[int]bool // SMs Perturb was called for
+}
+
+func (h *smRecordingHook) CanFire(sm int) bool { return h.fires[sm] }
+
+func (h *smRecordingHook) Perturb(sm int, _ int64, lane int, u isa2.UnitClass, golden uint32) (uint32, bool) {
+	h.called[sm] = true
+	if h.fires[sm] && lane == 0 && u == isa2.UnitSP {
+		return golden ^ 1<<20, true
+	}
+	return golden, false
+}
+
+// TestFaultHookWiredPerSM: only the SMs a hook says it can fire on get
+// a perturb path; the others run as if fault-free, and a hook that can
+// fire nowhere leaves the launch's Stats identical to a fault-free one.
+func TestFaultHookWiredPerSM(t *testing.T) {
+	src := `
+.kernel work
+	mov  r0, %tid.x
+	iadd r1, r0, 1
+	iadd r2, r1, 2
+	exit
+`
+	cfg := arch.WarpedDMRConfig()
+	cfg.NumSMs = 4
+	run := func(hook FaultHook) *stats.Stats {
+		g, k := launch(t, cfg, src, func(_ *GPU, k *Kernel) { k.GridX = 4 })
+		opts := LaunchOpts{}
+		if hook != nil {
+			opts.Fault = hook
+		}
+		st, err := g.Launch(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	clean := run(nil)
+
+	one := &smRecordingHook{fires: map[int]bool{2: true}, called: map[int]bool{}}
+	st := run(one)
+	if len(one.called) != 1 || !one.called[2] {
+		t.Errorf("Perturb called for SMs %v, want only SM 2", one.called)
+	}
+	if st.FaultsActivated == 0 || st.FaultsDetected == 0 {
+		t.Errorf("fault on SM 2 activated %d, detected %d; want both > 0", st.FaultsActivated, st.FaultsDetected)
+	}
+
+	none := &smRecordingHook{fires: map[int]bool{}, called: map[int]bool{}}
+	if st := run(none); len(none.called) != 0 || !reflect.DeepEqual(st, clean) {
+		t.Errorf("hook that fires nowhere: Perturb called for %v, stats equal to fault-free: %v",
+			none.called, reflect.DeepEqual(st, clean))
+	}
 }
 
 // TestTraceSink: every issued instruction reaches the trace sink, in

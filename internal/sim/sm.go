@@ -21,11 +21,19 @@ import (
 	"warped/internal/trace"
 )
 
-// FaultHook lets a fault model corrupt computed values. It receives the
-// SM, current cycle, physical lane, unit class and golden value, and
-// returns the (possibly corrupted) value plus whether it changed it.
+// FaultHook lets a fault model corrupt computed values. Perturb
+// receives the SM, current cycle, physical lane, unit class and golden
+// value, and returns the (possibly corrupted) value plus whether it
+// changed it.
+//
+// CanFire reports whether the hook can ever change a value on SM smID.
+// The simulator asks once per SM per launch and wires no fault hook
+// into SMs that answer false, so their lanes run at fault-free speed. A
+// hook that answers false for an SM must leave every value on that SM
+// untouched and keep no state about it.
 type FaultHook interface {
 	Perturb(smID int, cycle int64, physLane int, unit isa.UnitClass, golden uint32) (uint32, bool)
+	CanFire(smID int) bool
 }
 
 // PCFaultHook is the optional program-targeted extension of FaultHook:
@@ -86,18 +94,36 @@ type sm struct {
 	err       error
 
 	laneFor  [32]uint8  // thread slot -> physical lane (pre-resolved mapping)
+	regBanks int        // register banks per SIMT cluster (pre-resolved)
 	segBuf   [32]uint32 // scratch for segBases
 	issueNow int64      // cycle of the in-flight Machine.Step (fault hook)
 	issuePC  int        // PC of the in-flight Machine.Step (PC-targeted faults)
 	kName    string     // kernel name, for PCFaultHook targeting
 
-	met *metrics.Sim // never nil; shared across the launch's SMs
+	// Plain tallies of the sim.* and simt.* metrics Stats does not
+	// count, published with the machine's and engine's by
+	// publishMetrics when the launch returns.
+	met         *metrics.Sim // never nil; shared across the launch's SMs
+	issueCycles int64
+	stallCycles int64
+	diverges    int64
+	stackDepth  metrics.Tally
 }
 
-func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(core.ErrorEvent)) *sm {
+// launchMetrics are the instrument sets of one launch, resolved once
+// and shared by its SMs.
+type launchMetrics struct {
+	sim  *metrics.Sim
+	exec *metrics.Exec
+	dmr  *metrics.DMR
+}
+
+func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(core.ErrorEvent), met launchMetrics) *sm {
 	s := &sm{
 		id: id, cfg: g.Cfg, gpu: g, greedy: [2]int{-1, -1},
-		met: metrics.ForSim(nil),
+		regBanks:   g.Cfg.RegBanksPerCluster(),
+		met:        met.sim,
+		stackDepth: met.sim.StackDepth.Tally(),
 	}
 	for t := 0; t < 32; t++ {
 		s.laneFor[t] = uint8(g.Cfg.LaneForThread(t))
@@ -106,6 +132,9 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 		s.l1 = cache.New(g.Cfg.L1)
 	}
 	s.kName = comp.Prog().Name
+	if fault != nil && !fault.CanFire(id) {
+		fault = nil // this SM's lanes can never be touched: run fault-free
+	}
 	var perturb exec.Perturb
 	if fault != nil {
 		pcHook, _ := fault.(PCFaultHook)
@@ -127,7 +156,7 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 	s.machine = exec.NewMachine(comp, exec.Opts{
 		SegBytes: g.Cfg.CoalesceBytes,
 		Banks:    g.Cfg.NumSharedBanks,
-		Metrics:  metrics.ForExec(nil),
+		Metrics:  met.exec,
 		Perturb:  perturb,
 	})
 	s.code = s.machine.Code()
@@ -139,11 +168,29 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 		}
 	}
 	s.engine = core.NewEngine(g.Cfg, id, &s.st, perturbPhys, onError)
+	s.engine.SetMetrics(met.dmr)
 	return s
 }
 
 // stats returns the SM's accumulated launch counters.
 func (s *sm) stats() *stats.Stats { return &s.st }
+
+// publishMetrics adds the SM's launch to the shared instrument sets:
+// its own tallies, the counters that equal a Stats field (read from
+// the SM's Stats), then the machine's and the engine's. The launch
+// calls it once per SM on every return path, so the hot loop never
+// touches a shared atomic.
+func (s *sm) publishMetrics() {
+	m := s.met
+	m.IssueCycles.Add(s.issueCycles)
+	m.IdleCycles.Add(s.st.IdleIssueSlots)
+	m.StallCycles.Add(s.stallCycles)
+	m.WarpInstrs.Add(s.st.WarpInstrs)
+	m.StackDepth.Publish(&s.stackDepth)
+	m.DivergeEvents.Add(s.diverges)
+	s.machine.FlushMetrics()
+	s.engine.FlushMetrics()
+}
 
 // canHost reports whether the SM has capacity for another block:
 // block slots, thread contexts, register file, and shared memory all
@@ -304,7 +351,7 @@ func (s *sm) regBankConflictCycles(d *exec.Decoded) int64 {
 	}
 	// At most three source registers: pairwise comparison beats clearing
 	// per-bank scratch arrays on every instruction.
-	banks := s.cfg.RegBanksPerCluster()
+	banks := s.regBanks
 	extra := int64(0)
 	n := int(d.NumReads)
 	for i := 1; i < n; i++ {
@@ -468,7 +515,7 @@ func (s *sm) tick(now int64) bool {
 	}
 	if s.stall > 0 {
 		s.stall--
-		s.met.StallCycles.Inc()
+		s.stallCycles++
 		return busy
 	}
 	issued := 0
@@ -484,10 +531,9 @@ func (s *sm) tick(now int64) bool {
 	if issued == 0 {
 		// Nothing issuable: the execution units are idle this cycle.
 		s.st.IdleIssueSlots++
-		s.met.IdleCycles.Inc()
 		s.engine.IdleCycle(now)
 	} else {
-		s.met.IssueCycles.Inc()
+		s.issueCycles++
 	}
 	return busy
 }
@@ -550,7 +596,6 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 
 	// --- statistics taps ---
 	s.st.WarpInstrs++
-	s.met.WarpInstrs.Inc()
 	nExec := rec.Executing.Count()
 	s.st.ThreadInstrs += int64(nExec)
 	if rec.Unit != isa.UnitCTRL {
@@ -660,11 +705,11 @@ func (s *sm) maybeReleaseBarrier(b *blockCtx) {
 }
 
 // retire removes a finished block and its warps from the SM, rolling
-// each warp's lifetime control-flow tallies into the launch metrics.
+// each warp's lifetime control-flow tallies into the SM's metrics.
 func (s *sm) retire(b *blockCtx) {
 	for _, wc := range b.warps {
-		s.met.StackDepth.Observe(int64(wc.ws.Ctl.MaxStackDepth()))
-		s.met.DivergeEvents.Add(wc.ws.Ctl.Diverges())
+		s.stackDepth.Observe(int64(wc.ws.Ctl.MaxStackDepth()))
+		s.diverges += wc.ws.Ctl.Diverges()
 	}
 	kept := s.blocks[:0]
 	for _, x := range s.blocks {
