@@ -47,11 +47,11 @@ type Benchmark struct {
 	MemBytes int
 }
 
-// GPUMemBytes returns the device global-memory size to provision for
-// the benchmark. The Table 4 inputs are scaled to fit comfortably in
-// 2 MB, and campaign runners create one fresh GPU per trial — zeroing
-// the simulator's 64 MB default each time would dominate campaign wall
-// time, so runners provision only what the workload can touch.
+// GPUMemBytes returns the device global-memory size the library's
+// runners provision for the benchmark: the Table 4 inputs are scaled to
+// fit comfortably in 2 MB. warpd runs jobs on the simulator's 64 MB
+// default instead, so a fault that pushes an address past 2 MB can
+// answer differently there.
 func (b *Benchmark) GPUMemBytes() int {
 	if b.MemBytes > 0 {
 		return b.MemBytes
