@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"warped/internal/arch"
@@ -143,6 +144,56 @@ func TestLaunchMetrics(t *testing.T) {
 	}
 	if lanes < 2 {
 		t.Errorf("lane shuffle covered %d physical lanes, want >= 2", lanes)
+	}
+}
+
+// TestConcurrentLaunchesShareRegistry: launches running at once on
+// separate GPUs publish into one registry (the warpd worker pool's
+// case), and the registry ends up holding exactly the sum of what each
+// launch publishes alone.
+func TestConcurrentLaunchesShareRegistry(t *testing.T) {
+	single := metrics.New()
+	g, k := observeKernel(t)
+	if _, err := g.Launch(k, LaunchOpts{Metrics: single}); err != nil {
+		t.Fatal(err)
+	}
+	want := single.Snapshot()
+
+	const n = 4
+	shared := metrics.New()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		g, k := observeKernel(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.Launch(k, LaunchOpts{Metrics: shared}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	got := shared.Snapshot()
+	for name, v := range want.Counters {
+		if got.Counters[name] != n*v {
+			t.Errorf("counter %s = %d, want %d x %d", name, got.Counters[name], n, v)
+		}
+	}
+	for name, h := range want.Histograms {
+		gh := got.Histograms[name]
+		if gh.Count != n*h.Count || gh.Sum != n*h.Sum {
+			t.Errorf("histogram %s count/sum = %d/%d, want %d x %d/%d", name, gh.Count, gh.Sum, n, h.Count, h.Sum)
+		}
+		for i, b := range h.Buckets {
+			if gh.Buckets[i].Count != n*b.Count {
+				t.Errorf("histogram %s bucket %d = %d, want %d x %d", name, i, gh.Buckets[i].Count, n, b.Count)
+			}
+		}
+	}
+	for name, gv := range want.Gauges {
+		if got.Gauges[name] != gv {
+			t.Errorf("gauge %s = %+v, want %+v", name, got.Gauges[name], gv)
+		}
 	}
 }
 
