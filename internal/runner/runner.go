@@ -144,11 +144,12 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 					cancel()
 				}
 				if opt.OnProgress != nil {
+					// Call under the lock: the contract promises
+					// serialized calls with done strictly increasing.
 					mu.Lock()
 					completed++
-					done := completed
+					opt.OnProgress(completed, n)
 					mu.Unlock()
-					opt.OnProgress(done, n)
 				}
 			}
 		}()
