@@ -187,11 +187,7 @@ func BenchmarkSimulator(b *testing.B) {
 				}
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					g, err := sim.New(cfg.c, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					st, err := kernels.Execute(g, bench, sim.LaunchOpts{})
+					st, _, err := kernels.Attempt(context.Background(), cfg.c, bench, sim.LaunchOpts{}, true)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -230,11 +226,7 @@ func BenchmarkAblation(b *testing.B) {
 			var cov float64
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				g, err := sim.New(tc.cfg, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := kernels.Execute(g, bench, sim.LaunchOpts{})
+				st, _, err := kernels.Attempt(context.Background(), tc.cfg, bench, sim.LaunchOpts{}, true)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -78,12 +78,12 @@ func Evaluate(a Approach, bench *kernels.Benchmark, base arch.Config, pcie xfer.
 func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, base arch.Config, pcie xfer.Model) (Result, error) {
 	cfg := base
 	cfg.DMR = arch.DMROff
-	shadow := false
+	b := bench
 	switch a {
 	case Original, RNaive:
 		// plain machine; R-Naive differences are applied after the run
 	case RThread:
-		shadow = true
+		b = shadowed(bench)
 	case DMTR:
 		cfg.DMR = arch.DMRTemporalAll
 		cfg.LaneShuffle = true
@@ -92,35 +92,11 @@ func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, 
 		cfg.Mapping = arch.MapClusterRR
 	}
 
-	g, err := sim.New(cfg, bench.GPUMemBytes())
+	// Validate every approach: shadow blocks never write global memory,
+	// so even the R-Thread run must leave bit-correct outputs behind.
+	total, run, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{}, true)
 	if err != nil {
-		return Result{}, err
-	}
-	run, err := bench.Build(g)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%s: build: %w", bench.Name, a, err)
-	}
-	total := &stats.Stats{}
-	for i, step := range run.Steps {
-		k := step.Kernel
-		k.ShadowGrid = shadow
-		st, err := g.LaunchContext(ctx, k, sim.LaunchOpts{})
-		if err != nil {
-			return Result{}, fmt.Errorf("%s/%s: launch %d: %w", bench.Name, a, i, err)
-		}
-		total.MergeSerial(st)
-		if step.Host != nil {
-			if err := step.Host(g); err != nil {
-				return Result{}, fmt.Errorf("%s/%s: host step %d: %w", bench.Name, a, i, err)
-			}
-		}
-	}
-	if run.Check != nil {
-		// Shadow blocks never write global memory, so even the R-Thread
-		// run must leave bit-correct outputs behind.
-		if err := run.Check(g); err != nil {
-			return Result{}, fmt.Errorf("%s/%s: validation: %w", bench.Name, a, err)
-		}
+		return Result{}, fmt.Errorf("%s: %w", a, err)
 	}
 
 	kernelS := float64(total.Cycles) * cfg.ClockNS * 1e-9
@@ -141,6 +117,23 @@ func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, 
 		// plain transfer model already cover these.
 	}
 	return Result{Approach: a, KernelS: kernelS, TransferS: transferS, Stats: total}, nil
+}
+
+// shadowed returns a copy of bench whose launches each double their
+// grid with shadow blocks: the R-Thread redundant thread blocks.
+func shadowed(bench *kernels.Benchmark) *kernels.Benchmark {
+	b := *bench
+	b.Build = func(g *sim.GPU) (*kernels.Run, error) {
+		run, err := bench.Build(g)
+		if err != nil {
+			return nil, err
+		}
+		for _, step := range run.Steps {
+			step.Kernel.ShadowGrid = true
+		}
+		return run, nil
+	}
+	return &b
 }
 
 // EvaluateAll runs every approach for one benchmark.

@@ -95,9 +95,6 @@ func (m *Machine) FlushMetrics() {
 	m.met.SharedBankExtra.Add(m.sharedBankExtra)
 }
 
-// SetPerturb replaces the fault-injection hook.
-func (m *Machine) SetPerturb(p Perturb) { m.perturb = p }
-
 // Step executes the instruction at the warp's current PC and updates
 // warp control state, registers, and memory. The returned Record is
 // valid until the next Step call on this Machine.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -191,13 +190,11 @@ func (e *Engine) Campaign(ctx context.Context, benchName string, n int, seed int
 // vary the policy inject identical faults and their detection rates
 // are directly comparable.
 func (e *Engine) CampaignConfig(ctx context.Context, benchName string, cfg arch.Config, n int, seed int64) (*CampaignResult, error) {
-	b, err := kernels.ByName(benchName)
+	// Extras campaign too: the synthesized-policy sweep validates its
+	// reference microbenchmark the same way as the paper suite.
+	b, err := kernels.Lookup(benchName)
 	if err != nil {
-		// Extras campaign too: the synthesized-policy sweep validates its
-		// reference microbenchmark the same way as the paper suite.
-		if b, err = kernels.ExtraByName(benchName); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	// Bias toward hardware the workload actually exercises: the block
 	// dispatcher fills low-numbered SMs first, and low result bits
@@ -213,39 +210,18 @@ func (e *Engine) CampaignConfig(ctx context.Context, benchName string, cfg arch.
 
 	outcomes, err := runner.Map(ctx, e.pool(), n, func(ctx context.Context, i int) (campaignOutcome, error) {
 		inj := fault.NewInjector(faults[i])
-		g, err := sim.New(cfg, b.GPUMemBytes())
-		if err != nil {
+		st, _, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{Fault: inj, Metrics: e.Metrics}, false)
+		if err != nil && !isCrash(st, err) {
 			return campaignOutcome{}, err
 		}
-		run, err := b.Build(g)
-		if err != nil {
-			return campaignOutcome{}, err
-		}
-		var o campaignOutcome
-		for _, step := range run.Steps {
-			st, err := g.LaunchContext(ctx, step.Kernel, sim.LaunchOpts{Fault: inj, Metrics: e.Metrics})
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return campaignOutcome{}, err // cancelled, not a DUE
-				}
-				// A corrupted address computation can run off the end of
-				// memory; the launch aborts, which is a detection of sorts
-				// (DUE rather than SDC) but we count it separately.
-				o.crashed = true
-				break
-			}
-			if st.FaultsDetected > 0 {
-				o.detected = true
-			}
-			if step.Host != nil {
-				if err := step.Host(g); err != nil {
-					o.crashed = true
-					break
-				}
-			}
-		}
-		o.activated = inj.Activations > 0
-		return o, nil
+		// A crash is a detection of sorts (DUE rather than SDC) but is
+		// counted separately; st holds the launches that completed, so
+		// "detected" still means a comparator fired before any crash.
+		return campaignOutcome{
+			activated: inj.Activations > 0,
+			detected:  st.FaultsDetected > 0,
+			crashed:   err != nil,
+		}, nil
 	})
 	if err != nil {
 		return nil, err

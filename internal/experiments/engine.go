@@ -53,12 +53,8 @@ func (e *Engine) runGrid(ctx context.Context, cfgs []arch.Config, opts sim.Launc
 	nb := len(bs)
 	opts.Metrics = e.Metrics
 	flat, err := runner.Map(ctx, e.pool(), len(cfgs)*nb, func(ctx context.Context, i int) (*stats.Stats, error) {
-		cfg, b := cfgs[i/nb], bs[i%nb]
-		g, err := sim.New(cfg, b.GPUMemBytes())
-		if err != nil {
-			return nil, err
-		}
-		return kernels.ExecuteContext(ctx, g, b, opts)
+		st, _, err := kernels.Attempt(ctx, cfgs[i/nb], bs[i%nb], opts, true)
+		return st, err
 	})
 	if err != nil {
 		return nil, nil, err

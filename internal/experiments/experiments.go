@@ -175,11 +175,7 @@ func (e *Engine) Fig8b(ctx context.Context) (*Fig8bResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, err := sim.New(arch.PaperConfig(), b.GPUMemBytes())
-			if err != nil {
-				return nil, err
-			}
-			st, err := kernels.ExecuteContext(ctx, g, b, sim.LaunchOpts{TrackRAW: true})
+			st, _, err := kernels.Attempt(ctx, arch.PaperConfig(), b, sim.LaunchOpts{TrackRAW: true}, true)
 			if err != nil {
 				return nil, err
 			}

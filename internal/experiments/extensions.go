@@ -127,33 +127,16 @@ func runBench(ctx context.Context, name string, cfg arch.Config, opts sim.Launch
 	if err != nil {
 		return nil, err
 	}
-	g, err := sim.New(cfg, b.GPUMemBytes())
-	if err != nil {
-		return nil, err
-	}
-	run, err := b.Build(g)
-	if err != nil {
-		return nil, err
-	}
-	total := &stats.Stats{}
-	for i, step := range run.Steps {
-		st, err := g.LaunchContext(ctx, step.Kernel, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s launch %d: %w", name, i, err)
-		}
-		total.MergeSerial(st)
-		if step.Host != nil {
-			if err := step.Host(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if opts.Fault == nil && run.Check != nil {
-		if err := run.Check(g); err != nil {
-			return nil, fmt.Errorf("%s validation: %w", name, err)
-		}
-	}
-	return total, nil
+	st, _, err := kernels.Attempt(ctx, cfg, b, opts, opts.Fault == nil)
+	return st, err
+}
+
+// isCrash reports whether an error from kernels.Attempt is the run's
+// own crash (a DUE: a corrupted address ran off the end of memory, or a
+// host step choked on corrupted output) rather than one that must end
+// the measurement: a run that never started, or a cancelled one.
+func isCrash(st *stats.Stats, err error) bool {
+	return st != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // Table renders the sampling sweep.
@@ -271,37 +254,16 @@ func (e *Engine) DetectionLatency(ctx context.Context, benchName string, trials 
 	results, err := runner.Map(ctx, e.pool(), trials, func(ctx context.Context, i int) (latencyTrial, error) {
 		inj := fault.NewInjector(faults[i])
 		var firstDetect int64 = -1
-		g, err := sim.New(cfg, b.GPUMemBytes())
-		if err != nil {
+		opts := sim.LaunchOpts{Fault: inj, OnError: func(ev core.ErrorEvent) {
+			if firstDetect < 0 {
+				firstDetect = ev.Cycle
+			}
+		}}
+		// A crash (DUE) just ends the run early: the trial reads only the
+		// first detection and the first activation, which no later
+		// launch can change.
+		if st, _, err := kernels.Attempt(ctx, cfg, b, opts, false); err != nil && !isCrash(st, err) {
 			return latencyTrial{}, err
-		}
-		run, err := b.Build(g)
-		if err != nil {
-			return latencyTrial{}, err
-		}
-		for _, step := range run.Steps {
-			_, err := g.LaunchContext(ctx, step.Kernel, sim.LaunchOpts{
-				Fault: inj,
-				OnError: func(ev core.ErrorEvent) {
-					if firstDetect < 0 {
-						firstDetect = ev.Cycle
-					}
-				},
-			})
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return latencyTrial{}, err // cancelled, not a DUE
-				}
-				break // DUE: the crash itself is the detection
-			}
-			if step.Host != nil {
-				if err := step.Host(g); err != nil {
-					break
-				}
-			}
-			if firstDetect >= 0 {
-				break
-			}
 		}
 		tr := latencyTrial{activated: inj.Activations > 0}
 		if tr.activated && firstDetect >= 0 {

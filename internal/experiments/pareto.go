@@ -228,12 +228,8 @@ func (e *Engine) synthSweep(ctx context.Context, bs []*kernels.Benchmark, trials
 		}
 	}
 	res, err := runner.Map(ctx, e.pool(), len(bs)*3, func(ctx context.Context, i int) (*stats.Stats, error) {
-		bi := i / 3
-		g, err := sim.New(cfgOf(bi, i%3), bs[bi].GPUMemBytes())
-		if err != nil {
-			return nil, err
-		}
-		return kernels.ExecuteContext(ctx, g, bs[bi], sim.LaunchOpts{Metrics: e.Metrics})
+		st, _, err := kernels.Attempt(ctx, cfgOf(i/3, i%3), bs[i/3], sim.LaunchOpts{Metrics: e.Metrics}, true)
+		return st, err
 	})
 	if err != nil {
 		return nil, nil, err

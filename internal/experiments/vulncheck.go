@@ -52,22 +52,6 @@ type VulnCheckResult struct {
 	Rows []VulnCheckRow
 }
 
-// Failed reports whether any injection at a statically-unACE PC was
-// architecturally visible — a falsified unACE claim.
-func (r *VulnCheckResult) Failed() bool {
-	for _, row := range r.Rows {
-		if row.Visible > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// RunVulnCheck runs the cross-validation on the default Engine.
-func RunVulnCheck() (*VulnCheckResult, error) {
-	return defaultEngine.VulnCheck(context.Background())
-}
-
 // VulnCheck cross-validates the static fault-vulnerability analysis
 // against targeted fault injection, benchmark by benchmark (the Table 4
 // suite plus the extras). For every kernel it runs verify.AnalyzeVuln,
@@ -101,7 +85,7 @@ func (e *Engine) VulnCheck(ctx context.Context) (*VulnCheckResult, error) {
 // benchPrograms builds b on a scratch GPU and returns its distinct
 // kernel programs in launch order.
 func benchPrograms(b *kernels.Benchmark) ([]*isa.Program, error) {
-	g, err := sim.New(arch.PaperConfig(), b.GPUMemBytes())
+	g, err := sim.New(arch.PaperConfig(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +117,7 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 	// Fault-free baseline: the statistics every figure derives from.
 	// Injection runs must reproduce these exactly.
 	baseCfg := arch.PaperConfig()
-	g, err := sim.New(baseCfg, b.GPUMemBytes())
-	if err != nil {
-		return nil, nil, err
-	}
-	baseline, err := kernels.ExecuteContext(ctx, g, b, sim.LaunchOpts{Metrics: e.Metrics})
+	baseline, _, err := kernels.Attempt(ctx, baseCfg, b, sim.LaunchOpts{Metrics: e.Metrics}, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fault-free baseline: %w", err)
 	}
@@ -182,11 +162,7 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 	visible, err := runner.Map(ctx, e.pool(), len(jobs), func(ctx context.Context, i int) (string, error) {
 		job := jobs[i]
 		inj := fault.NewPCInjector(job.kernel, job.pc, job.bit)
-		g, err := sim.New(baseCfg, b.GPUMemBytes())
-		if err != nil {
-			return "", err
-		}
-		st, err := kernels.ExecuteContext(ctx, g, b, sim.LaunchOpts{Fault: inj, Metrics: e.Metrics})
+		st, _, err := kernels.Attempt(ctx, baseCfg, b, sim.LaunchOpts{Fault: inj, Metrics: e.Metrics}, true)
 		if err != nil {
 			if ctx.Err() != nil {
 				return "", err
@@ -226,11 +202,7 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 		}
 		cfg := arch.WarpedDMRConfig()
 		cfg.Policy = p
-		g, err := sim.New(cfg, b.GPUMemBytes())
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := kernels.ExecuteContext(ctx, g, b, sim.LaunchOpts{Metrics: e.Metrics})
+		st, _, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{Metrics: e.Metrics}, true)
 		if err != nil {
 			return nil, nil, fmt.Errorf("synthesized-policy run: %w", err)
 		}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"warped/internal/arch"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -42,57 +43,81 @@ type Benchmark struct {
 	Desc     string
 	// Build stages the benchmark on the GPU and returns its Run.
 	Build func(g *sim.GPU) (*Run, error)
-	// MemBytes overrides the device global-memory size to provision
-	// (0 = the suite default; see GPUMemBytes).
-	MemBytes int
 }
 
-// GPUMemBytes returns the device global-memory size the library's
-// runners provision for the benchmark: the Table 4 inputs are scaled to
-// fit comfortably in 2 MB. warpd runs jobs on the simulator's 64 MB
-// default instead, so a fault that pushes an address past 2 MB can
-// answer differently there.
-func (b *Benchmark) GPUMemBytes() int {
-	if b.MemBytes > 0 {
-		return b.MemBytes
+// GPUMemBytes returns the device global-memory size a run of the
+// benchmark provisions: the simulator default, the same on every path
+// (library, figure harnesses, warpd), so a fault that drives an address
+// out of range crashes with the same message wherever the run executes.
+// Attempt provisions it by passing zero to sim.New; perfbench's traced
+// replays read it here.
+func (b *Benchmark) GPUMemBytes() int { return sim.DefaultMemBytes }
+
+// Attempt runs b once on a fresh GPU of the default memory size: Build,
+// then for each step the launch, a serial merge of its statistics
+// (cycles accumulate, everything else sums or merges) and the host
+// step, then the host-reference Check when validate is set. Every
+// benchmark execution goes through it, so a run gets the same answer
+// wherever it executes.
+//
+// When a launch or host step fails, the merged statistics of the
+// launches that completed come back with the error, so a fault campaign
+// can still tell a detection from a crash. A nil Stats with an error
+// means the attempt never ran: a bad configuration or a failed Build.
+func Attempt(ctx context.Context, cfg arch.Config, b *Benchmark, opts sim.LaunchOpts, validate bool) (*stats.Stats, *Run, error) {
+	g, err := sim.New(cfg, 0)
+	if err != nil {
+		return nil, nil, err
 	}
-	return 2 << 20
-}
-
-// Execute builds and runs the benchmark on g, merging statistics across
-// launches (cycles accumulate; everything else sums/merges), then
-// validates the results.
-func Execute(g *sim.GPU, b *Benchmark, opts sim.LaunchOpts) (*stats.Stats, error) {
-	return ExecuteContext(context.Background(), g, b, opts)
-}
-
-// ExecuteContext is Execute with cooperative cancellation: ctx is
-// plumbed into every kernel launch, so a long multi-launch workload
-// aborts promptly when it fires.
-func ExecuteContext(ctx context.Context, g *sim.GPU, b *Benchmark, opts sim.LaunchOpts) (*stats.Stats, error) {
 	run, err := b.Build(g)
 	if err != nil {
-		return nil, fmt.Errorf("%s: build: %w", b.Name, err)
+		return nil, nil, fmt.Errorf("%s: build: %w", b.Name, err)
 	}
 	total := &stats.Stats{}
 	for i, step := range run.Steps {
 		st, err := g.LaunchContext(ctx, step.Kernel, opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: launch %d: %w", b.Name, i, err)
+			return total, run, fmt.Errorf("%s: launch %d: %w", b.Name, i, err)
 		}
 		total.MergeSerial(st)
 		if step.Host != nil {
 			if err := step.Host(g); err != nil {
-				return nil, fmt.Errorf("%s: host step %d: %w", b.Name, i, err)
+				return total, run, fmt.Errorf("%s: host step %d: %w", b.Name, i, err)
 			}
 		}
 	}
-	if run.Check != nil {
+	if validate && run.Check != nil {
 		if err := run.Check(g); err != nil {
-			return nil, fmt.Errorf("%s: validation: %w", b.Name, err)
+			return total, run, fmt.Errorf("%s: validation: %w", b.Name, err)
 		}
 	}
-	return total, nil
+	return total, run, nil
+}
+
+// Retry makes up to n attempts at a job: the paper's §3.1 handling
+// sketch, re-executing the whole workload from its inputs when a DMR
+// comparator flags a mismatch or the corrupted run crashes. It returns
+// the statistics of the first clean attempt and the number of attempts
+// made. With n <= 1 there is no retry budget: the one attempt's error
+// is returned as is, and a completed run is returned even when it
+// detected mismatches. Cancellation is never retried. who prefixes
+// Retry's own errors, e.g. "warped: BFS".
+func Retry(ctx context.Context, n int, who string, attempt func() (*stats.Stats, error)) (*stats.Stats, int, error) {
+	n = max(n, 1)
+	for i := 1; i <= n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, i - 1, fmt.Errorf("%s: %w", who, err)
+		}
+		st, err := attempt()
+		switch {
+		case err == nil && (st.FaultsDetected == 0 || n == 1):
+			return st, i, nil
+		case err != nil && (n == 1 || ctx.Err() != nil):
+			return nil, i, err
+		}
+		// Detected (or crashed) with retries left: discard the attempt.
+	}
+	return nil, n, fmt.Errorf("%s still failing after %d attempts: fault appears permanent", who, n)
 }
 
 var registry []*Benchmark
@@ -138,6 +163,15 @@ func ByName(name string) (*Benchmark, error) {
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown benchmark %q", name)
+}
+
+// Lookup returns the named workload from the paper suite, or failing
+// that from the extras.
+func Lookup(name string) (*Benchmark, error) {
+	if b, err := ByName(name); err == nil {
+		return b, nil
+	}
+	return ExtraByName(name)
 }
 
 // Names returns all benchmark names in paper order.

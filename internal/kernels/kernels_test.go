@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"crypto/sha1"
 	"encoding/binary"
 	"testing"
@@ -19,11 +20,7 @@ func runOne(t *testing.T, name string, cfg arch.Config) *stats.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sim.New(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Execute(g, b, sim.LaunchOpts{})
+	st, _, err := Attempt(context.Background(), cfg, b, sim.LaunchOpts{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +28,7 @@ func runOne(t *testing.T, name string, cfg arch.Config) *stats.Stats {
 }
 
 // TestAllBenchmarksValidate runs every workload on the plain machine;
-// Execute fails if any output mismatches its host reference.
+// Attempt fails if any output mismatches its host reference.
 func TestAllBenchmarksValidate(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -252,11 +249,7 @@ func TestExtrasValidate(t *testing.T) {
 			t.Fatalf("extra %s leaked into the Table 4 registry", b.Name)
 		}
 		t.Run(b.Name, func(t *testing.T) {
-			g, err := sim.New(arch.WarpedDMRConfig(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := Execute(g, b, sim.LaunchOpts{})
+			st, _, err := Attempt(context.Background(), arch.WarpedDMRConfig(), b, sim.LaunchOpts{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,11 +274,7 @@ func TestTransposeBankBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sim.New(arch.PaperConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Execute(g, b, sim.LaunchOpts{})
+	st, _, err := Attempt(context.Background(), arch.PaperConfig(), b, sim.LaunchOpts{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

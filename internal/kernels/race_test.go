@@ -30,11 +30,7 @@ func TestConcurrentLaunches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := sim.New(arch.WarpedDMRConfig(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := Execute(g, b, sim.LaunchOpts{})
+		st, _, err := Attempt(context.Background(), arch.WarpedDMRConfig(), b, sim.LaunchOpts{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,12 +55,7 @@ func TestConcurrentLaunches(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				g, err := sim.New(arch.WarpedDMRConfig(), 0)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				st, err := ExecuteContext(context.Background(), g, b, sim.LaunchOpts{})
+				st, _, err := Attempt(context.Background(), arch.WarpedDMRConfig(), b, sim.LaunchOpts{}, true)
 				if err != nil {
 					errs[w] = err
 					return

@@ -13,6 +13,7 @@ import (
 
 	"warped"
 	"warped/client"
+	"warped/internal/fault"
 	"warped/internal/metrics"
 	"warped/internal/service"
 )
@@ -97,41 +98,86 @@ func TestE2ECoalescingAndCache(t *testing.T) {
 
 // TestE2EStatsMatchDirectRun: the daemon's answer for a benchmark job
 // must be byte-identical to what warped.Runner produces for the same
-// canonical inputs — caching must never change the science.
+// canonical inputs — caching must never change the science. That holds
+// for every kind of answer: a clean run, a run recovered by the retry
+// budget (stats and bookkeeping), and a crash (the error text, which
+// names the device-memory size a corrupted address ran off).
 func TestE2EStatsMatchDirectRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full MatrixMul run")
+		t.Skip("full benchmark runs")
 	}
 	_, c, _ := newTestDaemon(t, service.Options{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, &client.JobSpec{Benchmark: "MatrixMul"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	stuckAt := func(bench string, seed int64) *client.JobSpec {
+		return &client.JobSpec{Benchmark: bench, Faults: &service.FaultSpec{Random: 1, Kind: "stuck-at"}, Seed: seed}
 	}
-	res, err := c.Wait(ctx, resp.ID)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	cases := []struct {
+		name  string
+		spec  *client.JobSpec
+		crash bool
+	}{
+		{"clean", &client.JobSpec{Benchmark: "MatrixMul"}, false},
+		{"recovered", &client.JobSpec{Benchmark: "Libor", Seed: 5, Retry: 2, StopOnError: true,
+			Faults: &service.FaultSpec{Random: 1, Kind: "transient", MaxCycle: 5000}}, false},
+		{"crash/SCAN", stuckAt("SCAN", 3), true},
+		{"crash/MatrixMul", stuckAt("MatrixMul", 3), true},
+		{"crash/CUFFT", stuckAt("CUFFT", 3), true},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			canon, err := tc.spec.Canonicalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []warped.RunOption{warped.WithConfig(canon.Config), warped.WithRetry(canon.Attempts)}
+			if len(canon.Faults) > 0 {
+				fs := make([]*fault.Fault, len(canon.Faults))
+				for i, fd := range canon.Faults {
+					if fs[i], err = service.ToFault(fd); err != nil {
+						t.Fatal(err)
+					}
+				}
+				opts = append(opts, warped.WithFaults(fault.NewInjector(fs...), nil))
+			}
+			if canon.StopOnError {
+				opts = append(opts, warped.WithStopOnError())
+			}
+			direct, derr := (&warped.Runner{}).Run(ctx, canon.Benchmark, opts...)
+			if (derr != nil) != tc.crash {
+				t.Fatalf("direct Run error = %v, want crash %v", derr, tc.crash)
+			}
 
-	direct, err := (&warped.Runner{}).Run(ctx, "MatrixMul")
-	if err != nil {
-		t.Fatalf("direct Run: %v", err)
-	}
-	got, err := json.Marshal(res.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(direct.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("service stats differ from direct run:\nservice: %s\ndirect:  %s", got, want)
-	}
-	if res.Attempts != direct.Attempts || res.Detections != direct.Detections {
-		t.Errorf("bookkeeping differs: service {%d %d}, direct {%d %d}",
-			res.Attempts, res.Detections, direct.Attempts, direct.Detections)
+			resp, err := c.Submit(ctx, tc.spec)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			res, err := c.Wait(ctx, resp.ID)
+			if tc.crash {
+				if err == nil || !strings.HasSuffix(err.Error(), derr.Error()) {
+					t.Fatalf("service answer %v does not end with the direct run's crash %q", err, derr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			got, err := json.Marshal(res.Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(direct.Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("service stats differ from direct run:\nservice: %s\ndirect:  %s", got, want)
+			}
+			if res.Attempts != direct.Attempts || res.Recovered != direct.Recovered || res.Detections != direct.Detections {
+				t.Errorf("bookkeeping differs: service {%d %v %d}, direct {%d %v %d}",
+					res.Attempts, res.Recovered, res.Detections, direct.Attempts, direct.Recovered, direct.Detections)
+			}
+		})
 	}
 }
 

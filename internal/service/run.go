@@ -2,10 +2,10 @@ package service
 
 import (
 	"context"
-	"fmt"
 
 	"warped/internal/asm"
 	"warped/internal/core"
+	"warped/internal/kernels"
 	"warped/internal/mem"
 	"warped/internal/metrics"
 	"warped/internal/sim"
@@ -32,105 +32,52 @@ type JobResult struct {
 }
 
 // execute runs the canonical job to completion under ctx, reporting
-// operational telemetry into reg (which may be nil). The control flow
-// deliberately mirrors warped.Runner.Run attempt-for-attempt — same
-// fresh-GPU-per-attempt, same shared injector across attempts, same
-// validate-only-fault-free default — so a cached service result is
-// byte-identical to what the library would have produced.
+// operational telemetry into reg (which may be nil). Benchmark jobs
+// run through kernels.Attempt and every job retries through
+// kernels.Retry, the functions warped.Runner.Run calls, with one
+// injector shared across attempts and validation only for fault-free
+// jobs, so a service result is byte-identical to a library run.
 func (c *canonicalJob) execute(ctx context.Context, id string, reg *metrics.Registry) (*JobResult, error) {
 	inj, err := injector(c.Faults)
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.LaunchOpts{StopOnError: c.StopOnError, Metrics: reg}
+	out := &JobResult{}
+	opts := sim.LaunchOpts{StopOnError: c.StopOnError, Metrics: reg,
+		OnError: func(core.ErrorEvent) { out.Detections++ }}
 	if inj != nil {
 		// Assign only when non-nil: a typed nil in the FaultHook
 		// interface would read as "fault injection on".
 		opts.Fault = inj
 	}
-	detections := 0
-	opts.OnError = func(core.ErrorEvent) { detections++ }
-
-	out := &JobResult{}
-	for attempt := 1; attempt <= c.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("service: job %s: %w", id, err)
+	attempt := func() (*stats.Stats, error) { return c.runSource(ctx, id, opts) }
+	if c.Benchmark != "" {
+		b, err := kernels.Lookup(c.Benchmark)
+		if err != nil {
+			return nil, err
 		}
-		out.Attempts = attempt
-		st, err := c.runAttempt(ctx, id, opts)
-		out.Detections = detections
-		if err == nil && st.FaultsDetected == 0 {
-			out.Stats = st
-			out.Recovered = attempt > 1
-			return out, nil
+		attempt = func() (*stats.Stats, error) {
+			st, _, err := kernels.Attempt(ctx, c.Config, b, opts, inj == nil)
+			return st, err
 		}
-		if err != nil && ctx.Err() != nil {
-			return nil, err // cancelled mid-attempt: don't retry
-		}
-		if c.Attempts == 1 {
-			if err != nil {
-				return nil, err
-			}
-			// Mismatches were detected but the run completed (no
-			// StopOnError, no retry budget): report them in the result.
-			out.Stats = st
-			return out, nil
-		}
-		// Detected (or crashed) with retries left: discard the attempt.
 	}
-	return nil, fmt.Errorf("service: job %s still failing after %d attempts: fault appears permanent", id, out.Attempts)
+	st, attempts, err := kernels.Retry(ctx, c.Attempts, "service: job "+id, attempt)
+	if err != nil {
+		return nil, err
+	}
+	out.Stats, out.Attempts, out.Recovered = st, attempts, attempts > 1
+	return out, nil
 }
 
-// runAttempt executes one full workload attempt on a fresh GPU.
-func (c *canonicalJob) runAttempt(ctx context.Context, id string, opts sim.LaunchOpts) (*stats.Stats, error) {
+// runSource assembles and launches an inline kernel on a fresh GPU.
+// The source name is the job's content address, so assembly and
+// static-verification diagnostics point back at the job that carried
+// the bad kernel.
+func (c *canonicalJob) runSource(ctx context.Context, id string, opts sim.LaunchOpts) (*stats.Stats, error) {
 	g, err := sim.New(c.Config, 0)
 	if err != nil {
 		return nil, err
 	}
-	if c.Benchmark != "" {
-		return c.runBenchmark(ctx, g, opts)
-	}
-	return c.runSource(ctx, g, id, opts)
-}
-
-// runBenchmark mirrors warped.runOnce: execute every launch step,
-// merge serially, then validate against the host reference only when
-// no faults are being injected (corrupted outputs are the scenario
-// under study in a campaign).
-func (c *canonicalJob) runBenchmark(ctx context.Context, g *sim.GPU, opts sim.LaunchOpts) (*stats.Stats, error) {
-	b, err := findBenchmark(c.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	run, err := b.Build(g)
-	if err != nil {
-		return nil, err
-	}
-	total := &stats.Stats{}
-	for i, step := range run.Steps {
-		st, err := g.LaunchContext(ctx, step.Kernel, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: launch %d: %w", b.Name, i, err)
-		}
-		total.MergeSerial(st)
-		if step.Host != nil {
-			if err := step.Host(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(c.Faults) == 0 && run.Check != nil {
-		if err := run.Check(g); err != nil {
-			return nil, fmt.Errorf("%s: validation: %w", b.Name, err)
-		}
-	}
-	return total, nil
-}
-
-// runSource assembles and launches an inline kernel. The source name
-// is the job's content address, so assembly and static-verification
-// diagnostics point back at the job that carried the bad kernel.
-func (c *canonicalJob) runSource(ctx context.Context, g *sim.GPU, id string, opts sim.LaunchOpts) (*stats.Stats, error) {
 	prog, err := asm.AssembleVerifiedNamed("job:"+id, c.Source)
 	if err != nil {
 		return nil, err

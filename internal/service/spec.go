@@ -177,7 +177,7 @@ func (s *JobSpec) Canonicalize() (*canonicalJob, error) {
 	case s.Benchmark == "" && s.Source == "":
 		return nil, fmt.Errorf("service: job needs a benchmark name or inline source")
 	case s.Benchmark != "":
-		if _, err := findBenchmark(s.Benchmark); err != nil {
+		if _, err := kernels.Lookup(s.Benchmark); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		c.Benchmark = s.Benchmark
@@ -478,8 +478,8 @@ func fromFault(f *fault.Fault) FaultDef {
 	return fd
 }
 
-// injector builds the fault injector for one attempt (fresh per
-// attempt: transient faults re-arm).
+// injector builds the fault injector a job's attempts share (nil for a
+// fault-free job).
 func injector(defs []FaultDef) (*fault.Injector, error) {
 	if len(defs) == 0 {
 		return nil, nil
@@ -493,14 +493,6 @@ func injector(defs []FaultDef) (*fault.Injector, error) {
 		faults[i] = f
 	}
 	return fault.NewInjector(faults...), nil
-}
-
-// findBenchmark resolves a name against the paper suite, then extras.
-func findBenchmark(name string) (*kernels.Benchmark, error) {
-	if b, err := kernels.ByName(name); err == nil {
-		return b, nil
-	}
-	return kernels.ExtraByName(name)
 }
 
 // ParseSpec strictly decodes a JobSpec from JSON: unknown fields are

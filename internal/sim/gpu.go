@@ -44,9 +44,6 @@ func (k *Kernel) NumBlocks() int { return k.GridX * k.GridY }
 // ThreadsPerBlock returns the flattened block size.
 func (k *Kernel) ThreadsPerBlock() int { return k.BlockX * k.BlockY }
 
-// TotalThreads returns the total thread count of the launch.
-func (k *Kernel) TotalThreads() int { return k.NumBlocks() * k.ThreadsPerBlock() }
-
 // Validate reports the first launch-configuration error.
 func (k *Kernel) Validate(cfg arch.Config) error {
 	switch {
@@ -121,14 +118,19 @@ type GPU struct {
 	trackWarp  int
 }
 
+// DefaultMemBytes is the global-memory size New provisions when asked
+// for zero. Memory is paged on first store, so the size costs nothing
+// until a run touches it.
+const DefaultMemBytes = 64 << 20
+
 // New builds a GPU with the given configuration and a global memory of
-// memBytes (64 MB if zero).
+// memBytes (DefaultMemBytes if zero).
 func New(cfg arch.Config, memBytes int) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if memBytes <= 0 {
-		memBytes = 64 << 20
+		memBytes = DefaultMemBytes
 	}
 	g := &GPU{Cfg: cfg, Mem: mem.NewGlobal(memBytes)}
 	if cfg.ModelCaches {

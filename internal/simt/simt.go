@@ -70,9 +70,6 @@ func (w *Warp) PC() int { return w.top().pc }
 // (before guard predication).
 func (w *Warp) ActiveMask() Mask { return w.top().mask &^ w.exited }
 
-// ExitedMask returns lanes that have terminated.
-func (w *Warp) ExitedMask() Mask { return w.exited }
-
 // StackDepth returns the current reconvergence stack depth.
 func (w *Warp) StackDepth() int { return len(w.stack) }
 

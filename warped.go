@@ -14,7 +14,7 @@
 // Runner is the context-aware entry point: functional options select
 // the configuration, fault injection, retry policy, tracing, and
 // metrics, and RunMany fans independent workloads out across a worker
-// pool. The RunBenchmark* helpers are deprecated wrappers over it.
+// pool.
 //
 // Operational telemetry is opt-in and never perturbs the deterministic
 // simulation output: attach a Metrics registry (WithMetrics or
@@ -33,7 +33,6 @@ package warped
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -185,8 +184,8 @@ func NewCSVTraceWriter(w io.Writer) *CSVTraceWriter { return trace.NewCSVWriter(
 // operational surface the CLIs mount behind their -pprof flag.
 func MetricsHandler(reg *Metrics) http.Handler { return metrics.Handler(reg) }
 
-// NewDiagnoser builds a fault-lane diagnoser; feed it to
-// RunBenchmarkWithFaults as the error callback via (*Diagnoser).Observe.
+// NewDiagnoser builds a fault-lane diagnoser; pass its Observe method
+// to WithFaults as the error callback.
 func NewDiagnoser() *Diagnoser { return core.NewDiagnoser() }
 
 // NewGPU builds a simulated GPU with the default 64 MB global memory.
@@ -283,14 +282,6 @@ func ExtraBenchmarks() []*Benchmark { return kernels.Extras() }
 
 // BenchmarkNames returns the workload names in Figure-1 order.
 func BenchmarkNames() []string { return kernels.Names() }
-
-// findBenchmark resolves a name against the paper suite, then extras.
-func findBenchmark(name string) (*Benchmark, error) {
-	if b, err := kernels.ByName(name); err == nil {
-		return b, nil
-	}
-	return kernels.ExtraByName(name)
-}
 
 // Result is the outcome of running one benchmark.
 type Result struct {
@@ -401,9 +392,6 @@ func (r *Runner) Run(ctx context.Context, name string, options ...RunOption) (*R
 	for _, o := range options {
 		o(spec)
 	}
-	if spec.attempts < 1 {
-		spec.attempts = 1
-	}
 	if spec.opts.Metrics == nil {
 		spec.opts.Metrics = r.Metrics
 	}
@@ -414,82 +402,32 @@ func (r *Runner) Run(ctx context.Context, name string, options ...RunOption) (*R
 				Observe(time.Since(start).Milliseconds())
 		}()
 	}
-	b, err := findBenchmark(name)
+	b, err := kernels.Lookup(name)
 	if err != nil {
 		return nil, err
-	}
-	out := &Result{Benchmark: name}
-	for attempt := 1; attempt <= spec.attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("warped: %s: %w", name, err)
-		}
-		out.Attempts = attempt
-		st, detections, err := runOnce(ctx, b, spec)
-		out.Detections += detections
-		if err == nil && st.FaultsDetected == 0 {
-			out.Stats = st
-			out.Recovered = attempt > 1
-			return out, nil
-		}
-		if err != nil && ctx.Err() != nil {
-			return nil, err // cancelled mid-attempt: don't retry
-		}
-		if spec.attempts == 1 {
-			if err != nil {
-				return nil, err
-			}
-			// Mismatches were detected but the run completed (no
-			// StopOnError, no retry budget): report them in the result.
-			out.Stats = st
-			return out, nil
-		}
-		// Detected (or crashed) with retries left: discard the attempt.
-	}
-	return nil, fmt.Errorf("warped: %s still failing after %d attempts: fault appears permanent", name, out.Attempts)
-}
-
-// runOnce executes every launch step of one workload attempt.
-func runOnce(ctx context.Context, b *Benchmark, spec *runSpec) (*Stats, int, error) {
-	g, err := sim.New(spec.cfg, b.GPUMemBytes())
-	if err != nil {
-		return nil, 0, err
-	}
-	run, err := b.Build(g)
-	if err != nil {
-		return nil, 0, err
-	}
-	detections := 0
-	opts := spec.opts
-	userOnError := opts.OnError
-	opts.OnError = func(ev ErrorEvent) {
-		detections++
-		if userOnError != nil {
-			userOnError(ev)
-		}
-	}
-	total := &stats.Stats{}
-	for i, step := range run.Steps {
-		st, err := g.LaunchContext(ctx, step.Kernel, opts)
-		if err != nil {
-			return nil, detections, fmt.Errorf("%s: launch %d: %w", b.Name, i, err)
-		}
-		total.MergeSerial(st)
-		if step.Host != nil {
-			if err := step.Host(g); err != nil {
-				return nil, detections, err
-			}
-		}
 	}
 	validate := spec.opts.Fault == nil
 	if spec.validate != nil {
 		validate = *spec.validate
 	}
-	if validate && run.Check != nil {
-		if err := run.Check(g); err != nil {
-			return nil, detections, fmt.Errorf("%s: validation: %w", b.Name, err)
+	out := &Result{Benchmark: name}
+	opts := spec.opts
+	onError := opts.OnError
+	opts.OnError = func(ev ErrorEvent) {
+		out.Detections++
+		if onError != nil {
+			onError(ev)
 		}
 	}
-	return total, detections, nil
+	st, attempts, err := kernels.Retry(ctx, spec.attempts, "warped: "+name, func() (*Stats, error) {
+		st, _, err := kernels.Attempt(ctx, spec.cfg, b, opts, validate)
+		return st, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Stats, out.Attempts, out.Recovered = st, attempts, attempts > 1
+	return out, nil
 }
 
 // RunMany executes the named workloads concurrently on a worker pool of
@@ -501,33 +439,6 @@ func (r *Runner) RunMany(ctx context.Context, names []string, options ...RunOpti
 		len(names), func(ctx context.Context, i int) (*Result, error) {
 			return r.Run(ctx, names[i], options...)
 		})
-}
-
-// RunBenchmark executes one named Table 4 workload (including output
-// validation against its host reference) under cfg.
-//
-// Deprecated: use Runner.Run with WithConfig.
-func RunBenchmark(name string, cfg Config) (*Result, error) {
-	return (&Runner{}).Run(context.Background(), name, WithConfig(cfg))
-}
-
-// RunBenchmarkWithFaults executes a workload with fault injection; each
-// detected mismatch is reported through onError (which may be nil).
-//
-// Deprecated: use Runner.Run with WithConfig and WithFaults.
-func RunBenchmarkWithFaults(name string, cfg Config, inj *Injector, onError func(ErrorEvent)) (*Result, error) {
-	return (&Runner{}).Run(context.Background(), name,
-		WithConfig(cfg), WithFaults(inj, onError))
-}
-
-// RunBenchmarkWithOpts executes a workload with full control over the
-// launch options (fault hooks, error thresholds, watchdog). It never
-// validates outputs, matching its historical behaviour.
-//
-// Deprecated: use Runner.Run with WithConfig and WithLaunchOpts.
-func RunBenchmarkWithOpts(name string, cfg Config, opts LaunchOpts) (*Result, error) {
-	return (&Runner{}).Run(context.Background(), name,
-		WithConfig(cfg), WithLaunchOpts(opts), WithValidation(false))
 }
 
 // EstimatePower applies the analytical power model to a finished run.
@@ -578,47 +489,3 @@ var (
 	RunSchedulerStudy   = experiments.RunSchedulerStudy
 	RunDetectionLatency = experiments.RunDetectionLatency
 )
-
-// RetryResult reports a detect-and-retry run (the paper's §3.1 handling
-// sketch: re-schedule on transient errors, raise an exception when the
-// fault persists).
-type RetryResult struct {
-	*Result
-	Attempts   int  // total launches of the workload
-	Recovered  bool // a clean re-run followed at least one detection
-	GaveUp     bool // every attempt kept failing: treat as permanent
-	Detections int  // comparator mismatches across failed attempts
-}
-
-// RunBenchmarkWithRetry runs a workload under cfg with StopOnError
-// semantics and kernel-level re-execution: when a Warped-DMR comparator
-// flags a mismatch (or the corrupted run crashes), the whole workload
-// is re-executed from its inputs, up to maxAttempts times. Transient
-// faults vanish on the retry and the workload completes validated;
-// persistent faults exhaust the attempts, which is the signal to treat
-// the fault as permanent and re-route (see Diagnoser).
-//
-// Deprecated: use Runner.Run with WithFaults, WithStopOnError and
-// WithRetry; the returned Result carries Attempts, Recovered and
-// Detections directly.
-func RunBenchmarkWithRetry(name string, cfg Config, inj *Injector, maxAttempts int) (*RetryResult, error) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	detections := 0
-	res, err := (&Runner{}).Run(context.Background(), name,
-		WithConfig(cfg),
-		WithFaults(inj, func(ErrorEvent) { detections++ }),
-		WithStopOnError(),
-		WithRetry(maxAttempts),
-		WithValidation(false))
-	if err != nil {
-		return &RetryResult{Attempts: maxAttempts, GaveUp: true, Detections: detections}, err
-	}
-	return &RetryResult{
-		Result:     res,
-		Attempts:   res.Attempts,
-		Recovered:  res.Recovered,
-		Detections: detections,
-	}, nil
-}
