@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -19,9 +16,13 @@ import (
 	"warped/internal/store"
 )
 
-// ErrNoWorkers is returned by Submit when every configured worker is
-// off the ring and the job is not already answerable from the store.
+// ErrNoWorkers refuses a job the store cannot answer while every
+// configured worker is off the ring.
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
+
+// retainedJobs bounds the coordinator's in-memory table of finished
+// jobs. Evicted successes remain answerable through the Store.
+const retainedJobs = 4096
 
 // Options configures a Coordinator.
 type Options struct {
@@ -38,7 +39,7 @@ type Options struct {
 	// Store is the coordinator's durable result tier. Entries use the
 	// same content-addressed format as a worker's own store, so a
 	// directory can move between the two roles. Nil disables
-	// durability; results then live only in the bounded in-memory map.
+	// durability; results then live only in the bounded in-memory table.
 	Store *store.Store
 
 	// Metrics receives the cluster.* instrument set; nil disables.
@@ -62,61 +63,42 @@ type Options struct {
 	// HTTPClient, when non-nil, carries every worker exchange so the
 	// whole pool shares one transport. Defaults to a fresh client.
 	HTTPClient *http.Client
-
-	// MaxCompleted bounds the in-memory map of finished jobs (default
-	// 4096). Evicted successes remain answerable through the Store.
-	MaxCompleted int
 }
 
 // Coordinator shards content-addressed jobs across a pool of warpd
-// workers. It speaks the daemon's own HTTP protocol on both sides:
-// callers use the warped/client package (or raw HTTP) against it
-// unchanged, and it dispatches to workers the same way. Placement is
-// consistent-hashed on the job's canonical spec hash; identical
-// submissions coalesce cluster-wide onto one dispatch and share one
-// durable store entry.
+// workers. It is the worker's own job table (service.Server: caching,
+// coalescing, the durable store, drain and the /v1 job API, so
+// warped/client works against it unchanged) over a ring executor that
+// dispatches each job to its consistent-hash ring node through the
+// same public protocol. Identical submissions coalesce cluster-wide
+// onto one dispatch and share one durable store entry.
 type Coordinator struct {
+	*service.Server
+	exec  *ringExecutor
+	store *store.Store
+}
+
+// ringExecutor is the coordinator's service.Executor: placement on the
+// hash ring, hedging, re-dispatch, and the worker health probes that
+// eject and readmit ring nodes.
+type ringExecutor struct {
 	workers   []string // sorted, normalized
 	workerIdx map[string]int
 	clients   map[string]*client.Client
 	ring      *Ring
 	vnodes    int
-	store     *store.Store
-	reg       *metrics.Registry
 	met       *metrics.Cluster
 
 	hedgeAfter    time.Duration
 	probeInterval time.Duration
 
-	mu        sync.Mutex
-	healthy   map[string]bool
-	flights   map[string]*flight
-	completed map[string]*completedEntry
-	order     *list.List // completedEntry LRU, front = most recent
-	maxDone   int
-	draining  bool
+	health sync.Mutex // serializes ring membership changes
+	active sync.WaitGroup
 
 	dispatchCtx    context.Context
 	dispatchCancel context.CancelFunc
 	probeCancel    context.CancelFunc
 	probeDone      chan struct{}
-}
-
-// flight is one in-flight dispatch; concurrent identical submissions
-// coalesce onto it.
-type flight struct {
-	id   string
-	hash string
-	done chan struct{}
-}
-
-// completedEntry is a finished job: res on success, errMsg on failure.
-type completedEntry struct {
-	id     string
-	hash   string
-	res    *service.JobResult
-	errMsg string
-	elem   *list.Element
 }
 
 // New builds a coordinator and starts its worker health prober. Stop
@@ -146,236 +128,93 @@ func New(opts Options) *Coordinator {
 	if probeInterval <= 0 {
 		probeInterval = 2 * time.Second
 	}
-	maxDone := opts.MaxCompleted
-	if maxDone <= 0 {
-		maxDone = 4096
-	}
 
-	co := &Coordinator{
+	re := &ringExecutor{
 		workers:       workers,
 		workerIdx:     make(map[string]int, len(workers)),
 		clients:       make(map[string]*client.Client, len(workers)),
 		ring:          NewRing(opts.VNodes),
 		vnodes:        opts.VNodes,
-		store:         opts.Store,
-		reg:           opts.Metrics,
 		met:           metrics.ForCluster(opts.Metrics, len(workers)),
 		hedgeAfter:    opts.HedgeAfter,
 		probeInterval: probeInterval,
-		healthy:       make(map[string]bool, len(workers)),
-		flights:       make(map[string]*flight),
-		completed:     make(map[string]*completedEntry),
-		order:         list.New(),
-		maxDone:       maxDone,
 		probeDone:     make(chan struct{}),
 	}
-	if co.vnodes <= 0 {
-		co.vnodes = DefaultVNodes
+	if re.vnodes <= 0 {
+		re.vnodes = DefaultVNodes
 	}
 	for i, w := range workers {
-		co.workerIdx[w] = i
+		re.workerIdx[w] = i
 		c := client.NewWithHTTPClient(w, hc)
 		c.RequestTimeout = reqTimeout
 		c.MaxRetries = 2
 		c.Backoff = 50 * time.Millisecond
 		c.PollInterval = 25 * time.Millisecond
-		co.clients[w] = c
+		re.clients[w] = c
 		// Workers start on the ring optimistically; the prober (and any
 		// failed dispatch) ejects the ones that turn out to be down.
-		co.healthy[w] = true
-		co.ring.Add(w)
+		re.ring.Add(w)
 	}
-	co.met.RingNodes.Set(int64(co.ring.Len()))
+	re.met.RingNodes.Set(int64(re.ring.Len()))
 
-	co.dispatchCtx, co.dispatchCancel = context.WithCancel(context.Background())
+	re.dispatchCtx, re.dispatchCancel = context.WithCancel(context.Background())
 	probeCtx, probeCancel := context.WithCancel(context.Background())
-	co.probeCancel = probeCancel
-	go co.probeLoop(probeCtx)
-	return co
-}
-
-// Workers returns the configured worker URLs, sorted.
-func (co *Coordinator) Workers() []string {
-	out := make([]string, len(co.workers))
-	copy(out, co.workers)
-	return out
+	re.probeCancel = probeCancel
+	go re.probeLoop(probeCtx)
+	return &Coordinator{
+		Server: service.NewServer("cluster", re, retainedJobs, opts.Metrics, opts.Store),
+		exec:   re,
+		store:  opts.Store,
+	}
 }
 
 // Healthy reports whether worker w is currently on the ring.
 func (co *Coordinator) Healthy(w string) bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.healthy[strings.TrimRight(w, "/")]
+	return co.exec.ring.Has(strings.TrimRight(w, "/"))
 }
 
-// Draining reports whether Drain has begun.
-func (co *Coordinator) Draining() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.draining
+// Admit starts j's dispatch unless no worker is on the ring.
+func (re *ringExecutor) Admit(j *service.Job) error {
+	if re.ring.Len() == 0 {
+		return ErrNoWorkers
+	}
+	re.active.Add(1)
+	go func() {
+		defer re.active.Done()
+		// Capture the spec once: attempts and hedges still in flight
+		// after Finish hold this copy, never the finished entry.
+		spec := j.Spec()
+		j.Start()
+		j.Finish(re.dispatch(j.Hash(), spec))
+	}()
+	return nil
 }
 
-// Drain stops admitting jobs, halts the prober, and waits for every
-// in-flight dispatch to settle or ctx to fire, whichever comes first.
-// The coordinator is unusable afterwards.
-func (co *Coordinator) Drain(ctx context.Context) error {
-	co.mu.Lock()
-	co.draining = true
-	co.mu.Unlock()
-	co.probeCancel()
-	<-co.probeDone
-	defer co.dispatchCancel()
-	for {
-		co.mu.Lock()
-		n := len(co.flights)
-		co.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		if err := sleepCtx(ctx, 10*time.Millisecond); err != nil {
-			return err
-		}
+// Ready reports ErrNoWorkers while the ring is empty: a store-only
+// coordinator still answers cached jobs, but is not ready for new work.
+func (re *ringExecutor) Ready() error {
+	if re.ring.Len() == 0 {
+		return ErrNoWorkers
 	}
+	return nil
 }
 
-// Submit admits one job by content address: a known result (memory or
-// store) is a cache hit, an in-flight identical job coalesces, a fresh
-// job is dispatched to its ring node. A previously failed identical
-// job is retried, not replayed.
-func (co *Coordinator) Submit(spec *service.JobSpec) (*service.SubmitResponse, error) {
-	hash, id, err := service.SpecKey(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	co.mu.Lock()
-	if co.draining {
-		co.mu.Unlock()
-		return nil, service.ErrDraining
-	}
-	co.met.JobsSubmitted.Inc()
-	if resp, ok := co.admitLocked(id); ok {
-		co.mu.Unlock()
-		return resp, nil
-	}
-	co.mu.Unlock()
-
-	// Durable tier, consulted off-lock: disk reads must not serialize
-	// the submit path.
-	if res := co.storeGet(hash); res != nil {
-		co.mu.Lock()
-		if resp, ok := co.admitLocked(id); ok { // lost a race to an identical submit
-			co.mu.Unlock()
-			return resp, nil
-		}
-		co.rememberLocked(&completedEntry{id: id, hash: hash, res: res})
-		co.met.StoreHits.Inc()
-		co.mu.Unlock()
-		return &service.SubmitResponse{ID: id, Status: "done", Cached: true}, nil
-	}
-
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if resp, ok := co.admitLocked(id); ok {
-		return resp, nil
-	}
-	if co.ring.Len() == 0 {
-		return nil, ErrNoWorkers
-	}
-	fl := &flight{id: id, hash: hash, done: make(chan struct{})}
-	co.flights[id] = fl
-	go co.dispatch(fl, spec)
-	return &service.SubmitResponse{ID: id, Status: "queued"}, nil
-}
-
-// admitLocked answers a submission from coordinator memory when it
-// can: a completed success is a cache hit, an in-flight dispatch
-// coalesces, and a completed failure is forgotten so the caller's
-// submission retries it. Caller holds co.mu.
-func (co *Coordinator) admitLocked(id string) (*service.SubmitResponse, bool) {
-	if e, ok := co.completed[id]; ok {
-		if e.res != nil {
-			co.order.MoveToFront(e.elem)
-			co.met.MemHits.Inc()
-			return &service.SubmitResponse{ID: id, Status: "done", Cached: true}, true
-		}
-		co.forgetLocked(e)
-	}
-	if _, ok := co.flights[id]; ok {
-		co.met.Coalesced.Inc()
-		return &service.SubmitResponse{ID: id, Status: "running"}, true
-	}
-	return nil, false
-}
-
-// Status reports a job's lifecycle state; ok is false for unknown IDs.
-func (co *Coordinator) Status(id string) (*service.StatusResponse, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, ok := co.flights[id]; ok {
-		return &service.StatusResponse{ID: id, Status: "running"}, true
-	}
-	if e, ok := co.completed[id]; ok {
-		if e.res != nil {
-			return &service.StatusResponse{ID: id, Status: "done"}, true
-		}
-		return &service.StatusResponse{ID: id, Status: "failed", Error: e.errMsg}, true
-	}
-	return nil, false
-}
-
-// Result returns a finished job's result. ok is false for unknown
-// IDs; a known job that is still running or failed returns (nil, true)
-// — distinguish via Status.
-func (co *Coordinator) Result(id string) (*service.ResultResponse, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, ok := co.flights[id]; ok {
-		return nil, true
-	}
-	e, ok := co.completed[id]
-	if !ok {
-		return nil, false
-	}
-	if e.res == nil {
-		return nil, true
-	}
-	return &service.ResultResponse{ID: id, Stats: e.res.Stats, Attempts: e.res.Attempts,
-		Recovered: e.res.Recovered, Detections: e.res.Detections}, true
-}
-
-// Wait blocks until job id finishes; false for unknown IDs.
-func (co *Coordinator) Wait(id string) bool {
-	co.mu.Lock()
-	fl, inFlight := co.flights[id]
-	_, done := co.completed[id]
-	co.mu.Unlock()
-	if inFlight {
-		<-fl.done
-		return true
-	}
-	return done
-}
-
-// rememberLocked records a finished job in the bounded in-memory map.
-// Caller holds co.mu.
-func (co *Coordinator) rememberLocked(e *completedEntry) {
-	if old, ok := co.completed[e.id]; ok {
-		co.forgetLocked(old)
-	}
-	e.elem = co.order.PushFront(e)
-	co.completed[e.id] = e
-	for co.order.Len() > co.maxDone {
-		oldest := co.order.Back()
-		co.forgetLocked(oldest.Value.(*completedEntry))
-	}
-}
-
-func (co *Coordinator) forgetLocked(e *completedEntry) {
-	delete(co.completed, e.id)
-	if e.elem != nil {
-		co.order.Remove(e.elem)
-		e.elem = nil
+// Stop halts the prober and waits for every dispatch to settle or ctx
+// to fire, whichever comes first; then it cancels what is left.
+func (re *ringExecutor) Stop(ctx context.Context) error {
+	re.probeCancel()
+	<-re.probeDone
+	defer re.dispatchCancel()
+	settled := make(chan struct{})
+	go func() {
+		re.active.Wait()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: drain interrupted: %w", ctx.Err())
 	}
 }
 
@@ -388,14 +227,14 @@ type attemptOutcome struct {
 	transport bool // the worker did not answer at all: eject it
 }
 
-// dispatch drives one flight to completion: submit to the job's ring
+// dispatch drives one job to completion: submit to the job's ring
 // node, walk the successor list on retriable failures, and (when
 // configured) hedge with a concurrent dispatch if the primary is slow.
 // First success wins; a non-retriable failure (spec rejection,
-// worker-reported job failure) settles the flight immediately.
-func (co *Coordinator) dispatch(fl *flight, spec *service.JobSpec) {
-	ctx := co.dispatchCtx
-	candidates := co.ring.Successors(fl.hash, 0) // every healthy worker, ring order
+// worker-reported job failure) settles the job immediately.
+func (re *ringExecutor) dispatch(hash string, spec *service.JobSpec) (*service.JobResult, error) {
+	ctx := re.dispatchCtx
+	candidates := re.ring.Successors(hash, 0) // every healthy worker, ring order
 	outcomes := make(chan attemptOutcome, len(candidates))
 	inflight, next := 0, 0
 	launch := func() bool {
@@ -405,63 +244,56 @@ func (co *Coordinator) dispatch(fl *flight, spec *service.JobSpec) {
 		w := candidates[next]
 		next++
 		inflight++
-		co.met.Dispatches.Inc()
-		if i, ok := co.workerIdx[w]; ok {
-			co.met.WorkerDispatches[i].Inc()
+		re.met.Dispatches.Inc()
+		if i, ok := re.workerIdx[w]; ok {
+			re.met.WorkerDispatches[i].Inc()
 		}
-		go func() { outcomes <- co.attempt(ctx, w, spec) }()
+		go func() { outcomes <- re.attempt(ctx, w, spec) }()
 		return true
 	}
 	if !launch() {
-		co.finish(fl, nil, ErrNoWorkers.Error())
-		return
+		return nil, ErrNoWorkers
 	}
 
 	var hedge <-chan time.Time
-	if co.hedgeAfter > 0 {
-		t := time.NewTimer(co.hedgeAfter)
+	if re.hedgeAfter > 0 {
+		t := time.NewTimer(re.hedgeAfter)
 		defer t.Stop()
 		hedge = t.C
 	}
-	var lastErr error
-	for inflight > 0 {
+	for {
 		select {
 		case <-ctx.Done():
-			co.finish(fl, nil, "cluster: coordinator shut down mid-dispatch")
-			return
+			return nil, errors.New("cluster: coordinator shut down mid-dispatch")
 		case <-hedge:
 			hedge = nil
 			if launch() {
-				co.met.HedgesFired.Inc()
+				re.met.HedgesFired.Inc()
 			}
 		case o := <-outcomes:
 			inflight--
 			if o.err == nil {
-				co.finish(fl, o.res, "")
-				return
+				return o.res, nil
 			}
-			lastErr = o.err
 			if o.transport {
-				co.setHealth(o.worker, false)
+				re.setHealth(o.worker, false)
 			}
 			if !o.retriable {
-				co.finish(fl, nil, o.err.Error())
-				return
+				return nil, o.err
 			}
 			if launch() {
-				co.met.Redispatches.Inc()
+				re.met.Redispatches.Inc()
 			} else if inflight == 0 {
-				co.finish(fl, nil, fmt.Sprintf("cluster: all %d candidate workers failed, last: %v",
-					len(candidates), lastErr))
-				return
+				return nil, fmt.Errorf("cluster: all %d candidate workers failed, last: %v",
+					len(candidates), o.err)
 			}
 		}
 	}
 }
 
 // attempt runs spec to completion on one worker.
-func (co *Coordinator) attempt(ctx context.Context, worker string, spec *service.JobSpec) attemptOutcome {
-	c := co.clients[worker]
+func (re *ringExecutor) attempt(ctx context.Context, worker string, spec *service.JobSpec) attemptOutcome {
+	c := re.clients[worker]
 	resp, err := c.Submit(ctx, spec)
 	if err != nil {
 		return classify(worker, err)
@@ -501,77 +333,32 @@ func classify(worker string, err error) attemptOutcome {
 	return out
 }
 
-// finish settles a flight: persist a success, record it in memory,
-// wake every waiter.
-func (co *Coordinator) finish(fl *flight, res *service.JobResult, errMsg string) {
-	if res != nil {
-		co.storePut(fl.hash, res)
-	}
-	co.mu.Lock()
-	delete(co.flights, fl.id)
-	co.rememberLocked(&completedEntry{id: fl.id, hash: fl.hash, res: res, errMsg: errMsg})
-	if res == nil {
-		co.met.JobsFailed.Inc()
-	}
-	co.mu.Unlock()
-	close(fl.done)
-}
-
-// storeGet reads a verified result from the durable tier; nil on a
-// miss, corruption, schema drift, or when no store is configured.
-func (co *Coordinator) storeGet(hash string) *service.JobResult {
-	if co.store == nil {
-		return nil
-	}
-	payload, ok := co.store.Get(hash)
-	if !ok {
-		return nil
-	}
-	var res service.JobResult
-	if err := json.Unmarshal(payload, &res); err != nil || res.Stats == nil {
-		return nil
-	}
-	return &res
-}
-
-// storePut persists a result to the durable tier, best effort.
-func (co *Coordinator) storePut(hash string, res *service.JobResult) {
-	if co.store == nil || res == nil {
-		return
-	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	_ = co.store.Put(hash, payload)
-}
-
 // probeLoop polls every worker's readiness on a fixed cadence, driving
 // ring ejection and readmission.
-func (co *Coordinator) probeLoop(ctx context.Context) {
-	defer close(co.probeDone)
-	t := time.NewTicker(co.probeInterval)
+func (re *ringExecutor) probeLoop(ctx context.Context) {
+	defer close(re.probeDone)
+	t := time.NewTicker(re.probeInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			co.probeAll(ctx)
+			re.probeAll(ctx)
 		}
 	}
 }
 
 // probeAll runs one probe round. Workers are probed concurrently so a
 // hung worker costs one RequestTimeout, not one per worker.
-func (co *Coordinator) probeAll(ctx context.Context) {
+func (re *ringExecutor) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, w := range co.workers {
+	for _, w := range re.workers {
 		wg.Add(1)
 		go func(w string) {
 			defer wg.Done()
-			ok, err := co.clients[w].Ready(ctx)
-			co.setHealth(w, ok && err == nil)
+			ok, err := re.clients[w].Ready(ctx)
+			re.setHealth(w, ok && err == nil)
 		}(w)
 	}
 	wg.Wait()
@@ -579,36 +366,21 @@ func (co *Coordinator) probeAll(ctx context.Context) {
 
 // setHealth moves a worker on or off the ring, counting the
 // transition. Safe for concurrent use.
-func (co *Coordinator) setHealth(worker string, healthy bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, known := co.workerIdx[worker]; !known || co.healthy[worker] == healthy {
+func (re *ringExecutor) setHealth(worker string, healthy bool) {
+	re.health.Lock()
+	defer re.health.Unlock()
+	if _, known := re.workerIdx[worker]; !known || re.ring.Has(worker) == healthy {
 		return
 	}
-	co.healthy[worker] = healthy
 	if healthy {
-		co.ring.Add(worker)
-		co.met.Readmissions.Inc()
+		re.ring.Add(worker)
+		re.met.Readmissions.Inc()
 	} else {
-		co.ring.Remove(worker)
-		co.met.Ejections.Inc()
+		re.ring.Remove(worker)
+		re.met.Ejections.Inc()
 	}
-	co.met.RingNodes.Set(int64(co.ring.Len()))
+	re.met.RingNodes.Set(int64(re.ring.Len()))
 }
-
-// sleepCtx waits d or until ctx fires.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// ---- HTTP surface ----------------------------------------------------
 
 // TopologyResponse answers GET /v1/cluster.
 type TopologyResponse struct {
@@ -636,149 +408,29 @@ type StoreInfo struct {
 
 // Topology snapshots the cluster for GET /v1/cluster.
 func (co *Coordinator) Topology() *TopologyResponse {
-	co.mu.Lock()
 	resp := &TopologyResponse{
-		RingNodes: co.ring.Len(),
-		VNodes:    co.vnodes,
-		InFlight:  len(co.flights),
-		Completed: len(co.completed),
-		Draining:  co.draining,
+		RingNodes: co.exec.ring.Len(),
+		VNodes:    co.exec.vnodes,
+		Draining:  co.Draining(),
 	}
-	for _, w := range co.workers {
-		resp.Workers = append(resp.Workers, WorkerInfo{URL: w, Healthy: co.healthy[w]})
+	resp.InFlight, resp.Completed = co.Occupancy()
+	for _, w := range co.exec.workers {
+		resp.Workers = append(resp.Workers, WorkerInfo{URL: w, Healthy: co.exec.ring.Has(w)})
 	}
-	co.mu.Unlock()
 	if co.store != nil {
 		resp.Store = &StoreInfo{Dir: co.store.Dir(), Entries: co.store.Len(), Bytes: co.store.Bytes()}
 	}
 	return resp
 }
 
-// Handler mounts the coordinator's HTTP surface: the same /v1 job API
-// a single daemon serves (so warped/client works unchanged), plus the
-// /v1/cluster topology endpoint, health probes, and /debug. See
-// docs/CLUSTER.md.
+// Handler mounts the job table's HTTP surface (the /v1 job API a
+// single daemon serves, health probes, /debug) plus the /v1/cluster
+// topology endpoint. See docs/CLUSTER.md.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", co.handleResult)
-	mux.HandleFunc("GET /v1/benchmarks", co.handleBenchmarks)
+	mux.Handle("/", co.Server.Handler())
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, co.Topology())
+		service.WriteJSON(w, http.StatusOK, co.Topology())
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", co.handleReady)
-	mux.Handle("/debug/", metrics.Handler(co.reg))
 	return mux
-}
-
-// maxSpecBytes mirrors the single-daemon spec size bound.
-const maxSpecBytes = 1 << 20
-
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("cluster: reading body: %v", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: job spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	spec, err := service.ParseSpec(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp, err := co.Submit(spec)
-	switch {
-	case errors.Is(err, service.ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "cluster: coordinator is draining")
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, ErrNoWorkers.Error())
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-	case resp.Cached:
-		writeJSON(w, http.StatusOK, resp)
-	default:
-		writeJSON(w, http.StatusAccepted, resp)
-	}
-}
-
-func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	resp, ok := co.Status(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown job %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	resp, ok := co.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown job %q", id))
-		return
-	}
-	if resp == nil {
-		if st, _ := co.Status(id); st != nil && st.Status == "failed" {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Sprintf("cluster: job %s failed: %s", id, st.Error))
-			return
-		}
-		writeError(w, http.StatusConflict, fmt.Sprintf("cluster: job %s is not finished", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleBenchmarks proxies the workload list from the first healthy
-// worker — every worker runs the same build, so any answer is the
-// cluster's answer.
-func (co *Coordinator) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	for _, worker := range co.ring.Nodes() {
-		names, err := co.clients[worker].Benchmarks(r.Context())
-		if err != nil {
-			continue
-		}
-		writeJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
-		return
-	}
-	writeError(w, http.StatusServiceUnavailable, ErrNoWorkers.Error())
-}
-
-// handleReady answers the coordinator's own readiness: it can do work
-// iff it is not draining and at least one worker is on the ring (a
-// store-only coordinator still answers cached jobs, but is not ready
-// for new work).
-func (co *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
-	co.mu.Lock()
-	draining, ringLen := co.draining, co.ring.Len()
-	co.mu.Unlock()
-	switch {
-	case draining:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	case ringLen == 0:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy workers"})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

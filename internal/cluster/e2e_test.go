@@ -178,8 +178,8 @@ func TestClusterCoalescing(t *testing.T) {
 	if got := snap.Counters["cluster.dispatches_total"]; got != 1 {
 		t.Errorf("cluster.dispatches_total = %d after %d identical submissions, want 1", got, n)
 	}
-	if got := snap.Counters["cluster.coalesced_total"]; got != n-1 {
-		t.Errorf("cluster.coalesced_total = %d, want %d", got, n-1)
+	if got := snap.Counters["cluster.cache_coalesced_total"]; got != n-1 {
+		t.Errorf("cluster.cache_coalesced_total = %d, want %d", got, n-1)
 	}
 	executed := reg1.Snapshot().Counters["service.jobs_executed_total"] +
 		reg2.Snapshot().Counters["service.jobs_executed_total"]
@@ -485,9 +485,17 @@ func TestClusterColdStartServesFromStore(t *testing.T) {
 			snap.Counters["cluster.dispatches_total"])
 	}
 
-	// A job the store has never seen is unservable without workers.
+	// A job the store has never seen is unservable without workers. It
+	// is a rejected submission, not an accepted one.
 	if _, err := c2.Submit(ctx, &client.JobSpec{Benchmark: "MatrixMul"}); err == nil {
 		t.Error("novel Submit on a workerless coordinator succeeded, want 503")
+	}
+	snap = reg.Snapshot()
+	if got := snap.Counters["cluster.jobs_submitted_total"]; got != 1 {
+		t.Errorf("jobs_submitted_total = %d after one store hit and one refusal, want 1", got)
+	}
+	if got := snap.Counters["cluster.jobs_rejected_total"]; got != 1 {
+		t.Errorf("jobs_rejected_total = %d after the refusal, want 1", got)
 	}
 }
 

@@ -286,33 +286,28 @@ func ForStore(r *Registry) *Store {
 	}
 }
 
-// Cluster is the pre-resolved instrument set of the coordinator
-// (internal/cluster, cmd/warpd -coordinator). Per-worker dispatch
-// counters are always allocated (with nil entries when the registry is
-// nil), indexed by the worker's position in the configured pool. A
-// Cluster built from a nil registry no-ops throughout.
+// Cluster is the pre-resolved instrument set of the coordinator's
+// ring executor (internal/cluster, cmd/warpd -coordinator): placement,
+// dispatch, hedging and worker health. Its job table reports through
+// ForJobs under the "cluster" role. Per-worker dispatch counters are
+// always allocated (with nil entries when the registry is nil),
+// indexed by the worker's position in the configured pool. A Cluster
+// built from a nil registry no-ops throughout.
 type Cluster struct {
 	// RingNodes gauges the healthy workers currently on the hash ring;
 	// its high-water mark is the largest ring the coordinator held.
 	RingNodes *Gauge
 
-	// Submission outcomes, mirroring the service.* vocabulary at the
-	// cluster tier: accepted submissions, in-memory result hits,
-	// durable-store hits, cluster-wide coalesces onto an in-flight
-	// dispatch, and dispatches actually sent to a worker.
-	JobsSubmitted *Counter
-	MemHits       *Counter
-	StoreHits     *Counter
-	Coalesced     *Counter
-	Dispatches    *Counter
+	// Dispatches counts jobs sent to a worker: primaries, hedges and
+	// re-dispatches alike.
+	Dispatches *Counter
 
 	// Failure handling. HedgesFired counts extra dispatches launched by
 	// the latency hedge; Redispatches counts jobs re-sent to the next
 	// ring node after a draining (503), budget-exhausted (429) or dead
-	// worker; JobsFailed counts jobs that exhausted every candidate.
+	// worker.
 	HedgesFired  *Counter
 	Redispatches *Counter
-	JobsFailed   *Counter
 
 	// Health tracking: workers ejected from / readmitted to the ring by
 	// the Ready prober (or ejected synchronously by a failed dispatch).
@@ -332,14 +327,9 @@ func ForCluster(r *Registry, numWorkers int) *Cluster {
 	}
 	m := &Cluster{
 		RingNodes:        r.Gauge("cluster.ring_nodes"),
-		JobsSubmitted:    r.Counter("cluster.jobs_submitted_total"),
-		MemHits:          r.Counter("cluster.cache_hits_total"),
-		StoreHits:        r.Counter("cluster.store_hits_total"),
-		Coalesced:        r.Counter("cluster.coalesced_total"),
 		Dispatches:       r.Counter("cluster.dispatches_total"),
 		HedgesFired:      r.Counter("cluster.hedges_fired_total"),
 		Redispatches:     r.Counter("cluster.redispatches_total"),
-		JobsFailed:       r.Counter("cluster.jobs_failed_total"),
 		Ejections:        r.Counter("cluster.worker_ejections_total"),
 		Readmissions:     r.Counter("cluster.worker_readmissions_total"),
 		WorkerDispatches: make([]*Counter, numWorkers),
@@ -350,28 +340,35 @@ func ForCluster(r *Registry, numWorkers int) *Cluster {
 	return m
 }
 
-// Service is the pre-resolved instrument set of the simulation-as-a-
-// service daemon (internal/service, cmd/warpd). A Service built from a
-// nil registry no-ops throughout.
-type Service struct {
-	// Submission outcomes. JobsSubmitted counts every accepted POST
-	// (including ones answered from the cache or coalesced onto an
-	// in-flight job); JobsRejected counts submissions turned away by
-	// admission control (429) or during drain (503).
+// Jobs is the pre-resolved instrument set of a job table
+// (internal/service.Server), named under its role: "service" on a
+// warpd worker, "cluster" on a coordinator. Over any quiet period
+// JobsSubmitted = CacheHits + CacheMisses + CacheCoalesced and
+// CacheMisses = JobsExecuted. A Jobs built from a nil registry no-ops
+// throughout.
+type Jobs struct {
+	// Submission outcomes. JobsSubmitted counts every accepted
+	// submission (including ones answered from a cache tier or
+	// coalesced onto an in-flight job); JobsRejected counts submissions
+	// turned away by admission (queue full, draining, no worker), which
+	// never count as submitted.
 	JobsSubmitted *Counter
 	JobsRejected  *Counter
 
-	// Execution outcomes: simulations actually started on the pool, and
-	// the subset that failed (assembly/validation/simulation errors and
-	// isolated panics). executed - failed = results now cacheable.
+	// Execution outcomes: jobs the executor finished, and the subset
+	// that failed (assembly/validation/simulation errors, isolated
+	// panics, or every worker failing). executed - failed = results now
+	// cacheable.
 	JobsExecuted *Counter
 	JobsFailed   *Counter
 
 	// Content-addressed cache behaviour. A hit serves a completed result
-	// without simulating; a coalesce attaches a duplicate submission to
-	// an in-flight execution; a miss schedules a fresh execution;
+	// without executing, from memory or from the durable store; StoreHits
+	// counts the durable-tier subset. A coalesce attaches a duplicate
+	// submission to an in-flight job; a miss admits a fresh execution;
 	// evictions count completed entries dropped by the LRU bound.
 	CacheHits      *Counter
+	StoreHits      *Counter
 	CacheMisses    *Counter
 	CacheCoalesced *Counter
 	CacheEvictions *Counter
@@ -379,24 +376,26 @@ type Service struct {
 	// CacheEntries gauges the completed results currently retained.
 	CacheEntries *Gauge
 
-	// JobLatencyMS histograms queued-to-finished wall-clock latency of
+	// JobLatencyMS histograms admitted-to-finished wall-clock latency of
 	// executed jobs (cache hits are not observed: they take no queue
 	// time). Operational data, never part of the simulation output.
 	JobLatencyMS *Histogram
 }
 
-// ForService resolves the service instrument set against r (nil-safe).
-func ForService(r *Registry) *Service {
-	return &Service{
-		JobsSubmitted:  r.Counter("service.jobs_submitted_total"),
-		JobsRejected:   r.Counter("service.jobs_rejected_total"),
-		JobsExecuted:   r.Counter("service.jobs_executed_total"),
-		JobsFailed:     r.Counter("service.jobs_failed_total"),
-		CacheHits:      r.Counter("service.cache_hits_total"),
-		CacheMisses:    r.Counter("service.cache_misses_total"),
-		CacheCoalesced: r.Counter("service.cache_coalesced_total"),
-		CacheEvictions: r.Counter("service.cache_evictions_total"),
-		CacheEntries:   r.Gauge("service.cache_entries"),
-		JobLatencyMS:   r.Histogram("service.job_latency_ms", LatencyMSBounds),
+// ForJobs resolves the job-table instrument set of role against r
+// (nil-safe).
+func ForJobs(r *Registry, role string) *Jobs {
+	return &Jobs{
+		JobsSubmitted:  r.Counter(role + ".jobs_submitted_total"),
+		JobsRejected:   r.Counter(role + ".jobs_rejected_total"),
+		JobsExecuted:   r.Counter(role + ".jobs_executed_total"),
+		JobsFailed:     r.Counter(role + ".jobs_failed_total"),
+		CacheHits:      r.Counter(role + ".cache_hits_total"),
+		StoreHits:      r.Counter(role + ".store_hits_total"),
+		CacheMisses:    r.Counter(role + ".cache_misses_total"),
+		CacheCoalesced: r.Counter(role + ".cache_coalesced_total"),
+		CacheEvictions: r.Counter(role + ".cache_evictions_total"),
+		CacheEntries:   r.Gauge(role + ".cache_entries"),
+		JobLatencyMS:   r.Histogram(role+".job_latency_ms", LatencyMSBounds),
 	}
 }

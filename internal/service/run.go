@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"time"
 
 	"warped/internal/asm"
 	"warped/internal/core"
 	"warped/internal/kernels"
 	"warped/internal/mem"
 	"warped/internal/metrics"
+	"warped/internal/runner"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -30,6 +32,41 @@ type JobResult struct {
 	// Detections counts comparator mismatches across all attempts.
 	Detections int `json:"detections"`
 }
+
+// poolExecutor is a worker's Executor: it simulates each job on the
+// worker's own runner pool, under the job timeout, reporting telemetry
+// into reg.
+type poolExecutor struct {
+	pool    *runner.Pool
+	reg     *metrics.Registry
+	timeout time.Duration
+}
+
+func (p *poolExecutor) Admit(j *Job) error {
+	var res *JobResult
+	return p.pool.Submit(
+		func() (err error) { res, err = p.run(j); return err },
+		// err may be a *runner.PanicError from an isolated panic.
+		func(err error) { j.Finish(res, err) },
+	)
+}
+
+// run executes one admitted job on a pool worker.
+func (p *poolExecutor) run(j *Job) (*JobResult, error) {
+	j.Start()
+	ctx := context.Background()
+	if p.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.timeout)
+		defer cancel()
+	}
+	return j.canon.execute(ctx, j.id, p.reg)
+}
+
+// Ready is always nil: a pool takes work until the Server drains it.
+func (p *poolExecutor) Ready() error { return nil }
+
+func (p *poolExecutor) Stop(ctx context.Context) error { return p.pool.Drain(ctx) }
 
 // execute runs the canonical job to completion under ctx, reporting
 // operational telemetry into reg (which may be nil). Benchmark jobs

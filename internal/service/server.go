@@ -18,19 +18,26 @@ import (
 	"warped/internal/store"
 )
 
-// Typed admission errors, shared with the runner pool so callers (and
-// the HTTP layer) branch on one vocabulary.
+// Typed admission errors, so callers (and the HTTP layer) branch on one
+// vocabulary.
 var (
 	// ErrDraining is returned by Submit once Drain has begun: the
-	// daemon finishes accepted work but admits nothing new (HTTP 503).
-	ErrDraining = runner.ErrPoolDraining
+	// table finishes accepted work but admits nothing new (HTTP 503).
+	ErrDraining = errors.New("service: draining, not accepting jobs")
 
-	// ErrBusy is returned by Submit when the bounded job queue is at
-	// capacity (HTTP 429 + Retry-After).
+	// ErrBusy is returned by Submit when the executor is momentarily
+	// full, e.g. the bounded job queue is at capacity (HTTP 429 +
+	// Retry-After).
 	ErrBusy = runner.ErrQueueFull
 )
 
-// jobState is the lifecycle of one job in the cache.
+// refused marks a submission the table or its executor cannot take
+// now (HTTP 503): draining, or nowhere to run it.
+type refused struct{ error }
+
+func (r refused) Unwrap() error { return r.error }
+
+// jobState is the lifecycle of one job in the table.
 type jobState int
 
 const (
@@ -55,20 +62,83 @@ func (st jobState) String() string {
 	}
 }
 
-// job is one cache entry: the canonical work plus its lifecycle. The
-// entry exists from admission on, which is what makes the map double
-// as the coalescing mechanism — a duplicate submission finds the
-// in-flight entry and attaches instead of re-simulating.
-type job struct {
-	id       string
-	hash     string // full content hash — the durable-store key
-	canon    *canonicalJob
+// Executor runs the jobs a Server admits. The Server owns identity,
+// caching, coalescing and the lifecycle; an executor only takes a job
+// or refuses it, and then runs it.
+type Executor interface {
+	// Admit takes j or refuses it, without blocking: ErrBusy means
+	// retry soon (HTTP 429), any other error that the executor cannot
+	// take work now (HTTP 503). It runs under the Server's lock, so an
+	// admitted job is marked running with j.Start and finished exactly
+	// once with j.Finish from another goroutine. The Server never
+	// calls Admit after Stop.
+	Admit(j *Job) error
+
+	// Ready returns why the executor cannot take fresh work, or nil.
+	Ready() error
+
+	// Stop waits until every admitted job has finished or ctx is done.
+	Stop(ctx context.Context) error
+}
+
+// Job is one entry of the table: the work while it is queued or
+// running, then only its answer. The entry exists from admission on,
+// which is what makes the map double as the coalescing mechanism: a
+// duplicate submission finds the in-flight entry and attaches instead
+// of executing again.
+type Job struct {
+	s     *Server
+	id    string
+	hash  string        // full content hash, the durable-store key
+	spec  *JobSpec      // as submitted; nil once finished
+	canon *canonicalJob // nil once finished
+
 	state    jobState
 	result   *JobResult
 	errMsg   string
 	done     chan struct{} // closed when the job reaches done/failed
-	elem     *list.Element // LRU position; nil until completed
+	elem     *list.Element // LRU position; nil until finished
 	enqueued time.Time
+}
+
+// Hash is the job's full content hash.
+func (j *Job) Hash() string { return j.hash }
+
+// Spec is the job as submitted; valid until Finish.
+func (j *Job) Spec() *JobSpec { return j.spec }
+
+// Start marks the job running.
+func (j *Job) Start() {
+	j.s.mu.Lock()
+	j.state = stateRunning
+	j.s.mu.Unlock()
+}
+
+// Finish records the job's outcome, res on success and err on failure:
+// it persists a success to the durable store, keeps only the answer in
+// the entry, moves it into the LRU, enforces the cache bound and wakes
+// every waiter. Call it exactly once.
+func (j *Job) Finish(res *JobResult, err error) {
+	s := j.s
+	if err == nil {
+		// Off the lock, and before any reader can see done: a finished
+		// job is durable.
+		s.storePut(j.hash, res)
+	}
+	s.mu.Lock()
+	if err != nil {
+		j.state, j.errMsg = stateFailed, err.Error()
+		s.met.JobsFailed.Inc()
+	} else {
+		j.state, j.result = stateDone, res
+	}
+	j.spec, j.canon = nil, nil
+	s.met.JobsExecuted.Inc()
+	s.met.JobLatencyMS.Observe(time.Since(j.enqueued).Milliseconds())
+	j.elem = s.lru.PushFront(j)
+	s.evictLocked()
+	s.mu.Unlock()
+	close(j.done)
 }
 
 // Options sizes a Server.
@@ -97,47 +167,60 @@ type Options struct {
 	// Store, when non-nil, is the durable content-addressed result tier
 	// behind the in-memory LRU: completed results are persisted to it,
 	// and a Submit that misses the LRU is answered from it without
-	// re-simulating (docs/CLUSTER.md). Content addressing makes entries
+	// re-simulating (docs/SERVICE.md). Content addressing makes entries
 	// immutable, so a store directory is safe to keep across restarts
 	// and to share between daemons that never run concurrently on it.
 	Store *store.Store
 }
 
-// Server is the simulation-as-a-service engine behind cmd/warpd:
-// content-addressed result cache, in-flight coalescing, bounded
-// admission onto a runner pool, and a graceful drain. It is
-// transport-independent — Handler mounts the HTTP surface on top.
+// Server is the job table behind cmd/warpd, in both roles: a
+// content-addressed map with a bounded LRU of results in front of an
+// optional durable store, in-flight coalescing, admission onto an
+// Executor, a graceful drain, and the HTTP surface over all of it. A
+// worker executes on its own runner pool (New); a coordinator
+// dispatches across workers (internal/cluster).
 type Server struct {
-	pool     *runner.Pool
+	exec     Executor
 	reg      *metrics.Registry
-	met      *metrics.Service
-	timeout  time.Duration
+	met      *metrics.Jobs
 	cacheCap int
 	store    *store.Store // durable tier; nil when not configured
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	lru  *list.List // completed *job entries, most recently used first
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	lru      *list.List // finished *Job entries, most recently used first
+	draining bool
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a worker: a Server executing on its own runner pool, each
+// job under opt.JobTimeout.
 func New(opt Options) *Server {
-	capEntries := opt.CacheEntries
-	if capEntries <= 0 {
-		capEntries = 256
-	}
-	return &Server{
+	exec := &poolExecutor{
 		pool: runner.NewPool(runner.PoolOptions{
 			Workers:    opt.Workers,
 			QueueDepth: opt.QueueDepth,
 			Metrics:    opt.Metrics,
 		}),
-		reg:      opt.Metrics,
-		met:      metrics.ForService(opt.Metrics),
-		timeout:  opt.JobTimeout,
-		cacheCap: capEntries,
-		store:    opt.Store,
-		jobs:     make(map[string]*job),
+		reg:     opt.Metrics,
+		timeout: opt.JobTimeout,
+	}
+	return NewServer("service", exec, opt.CacheEntries, opt.Metrics, opt.Store)
+}
+
+// NewServer builds a job table over exec. Its instruments are named
+// under role; it retains up to cacheEntries finished jobs (<= 0 means
+// 256) in front of st, which may be nil.
+func NewServer(role string, exec Executor, cacheEntries int, reg *metrics.Registry, st *store.Store) *Server {
+	if cacheEntries <= 0 {
+		cacheEntries = 256
+	}
+	return &Server{
+		exec:     exec,
+		reg:      reg,
+		met:      metrics.ForJobs(reg, role),
+		cacheCap: cacheEntries,
+		store:    st,
+		jobs:     make(map[string]*Job),
 		lru:      list.New(),
 	}
 }
@@ -177,10 +260,12 @@ type ResultResponse struct {
 	Detections int          `json:"detections"`
 }
 
-// Submit admits one job: a completed identical job is a cache hit, an
-// in-flight identical job coalesces, a fresh job is canonicalized and
-// queued. The error is ErrDraining or ErrBusy for admission refusals,
-// anything else is a spec validation failure.
+// Submit admits one job: a completed identical job (in memory or in
+// the durable store) is a cache hit, an in-flight identical job
+// coalesces, a fresh job is canonicalized and admitted to the
+// executor. The error is ErrBusy, ErrDraining or the executor's
+// refusal for admission refusals, anything else is a spec validation
+// failure.
 func (s *Server) Submit(spec *JobSpec) (*SubmitResponse, error) {
 	canon, err := spec.Canonicalize()
 	if err != nil {
@@ -190,55 +275,76 @@ func (s *Server) Submit(spec *JobSpec) (*SubmitResponse, error) {
 	id := IDFromHash(hash)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			s.met.JobsSubmitted.Inc()
-			s.met.CacheHits.Inc()
-			s.lru.MoveToFront(j.elem)
-			return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, nil
-		case stateQueued, stateRunning:
-			s.met.JobsSubmitted.Inc()
-			s.met.CacheCoalesced.Inc()
-			return &SubmitResponse{ID: id, Status: j.state.String(), Coalesced: true}, nil
-		case stateFailed:
-			// Failures are never served as hits: drop the entry and
-			// re-admit below, so a transient failure (timeout, OOM-ish
-			// environment trouble) is retried by resubmission.
-			s.removeLocked(j)
-		}
+	resp := s.lookupLocked(id)
+	s.mu.Unlock()
+	if resp != nil {
+		return resp, nil
 	}
 
-	// The in-memory LRU missed; the durable tier may still hold the
-	// result from a prior process (or an evicted entry). A verified
-	// store payload materializes as a completed job — no simulation.
-	if res := s.storeGet(hash); res != nil {
-		j := &job{id: id, hash: hash, canon: canon, state: stateDone,
-			result: res, done: make(chan struct{})}
+	// The table missed; the durable tier may still hold the result from
+	// a prior process or an evicted entry. Disk reads must not serialize
+	// submissions, so it is read off the lock and the table re-checked.
+	res := s.storeGet(hash)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if resp := s.lookupLocked(id); resp != nil {
+		return resp, nil
+	}
+	if res != nil {
+		j := &Job{s: s, id: id, hash: hash, state: stateDone, result: res, done: make(chan struct{})}
 		close(j.done)
 		j.elem = s.lru.PushFront(j)
 		s.jobs[id] = j
 		s.evictLocked()
 		s.met.JobsSubmitted.Inc()
 		s.met.CacheHits.Inc()
+		s.met.StoreHits.Inc()
 		return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, nil
 	}
-
-	j := &job{id: id, hash: hash, canon: canon, state: stateQueued,
-		done: make(chan struct{}), enqueued: time.Now()}
-	err = s.pool.Submit(
-		func() error { return s.runJob(j) },
-		func(err error) { s.finishJob(j, err) },
-	)
-	if err != nil {
+	if s.draining {
 		s.met.JobsRejected.Inc()
-		return nil, err
+		return nil, refused{ErrDraining}
+	}
+	j := &Job{s: s, id: id, hash: hash, spec: spec, canon: canon, state: stateQueued,
+		done: make(chan struct{}), enqueued: time.Now()}
+	if err := s.exec.Admit(j); err != nil {
+		s.met.JobsRejected.Inc()
+		if errors.Is(err, ErrBusy) {
+			return nil, err
+		}
+		return nil, refused{err}
 	}
 	s.jobs[id] = j
 	s.met.JobsSubmitted.Inc()
 	s.met.CacheMisses.Inc()
 	return &SubmitResponse{ID: id, Status: j.state.String()}, nil
+}
+
+// lookupLocked answers a submission from the table when it can: a done
+// job is a cache hit and a queued or running one coalesces. A failed
+// job is never served: its entry is dropped, so the submission
+// executes it again and a transient failure (a timeout, a lost worker)
+// heals by resubmission. Caller holds s.mu.
+func (s *Server) lookupLocked(id string) *SubmitResponse {
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil
+	}
+	switch j.state {
+	case stateDone:
+		s.lru.MoveToFront(j.elem)
+		s.met.JobsSubmitted.Inc()
+		s.met.CacheHits.Inc()
+		return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}
+	case stateQueued, stateRunning:
+		s.met.JobsSubmitted.Inc()
+		s.met.CacheCoalesced.Inc()
+		return &SubmitResponse{ID: id, Status: j.state.String(), Coalesced: true}
+	case stateFailed:
+		s.removeLocked(j)
+	}
+	return nil
 }
 
 // Status reports a job's lifecycle state; false when the ID is neither
@@ -289,68 +395,37 @@ func (s *Server) Wait(id string) bool {
 	return true
 }
 
-// Drain stops admission immediately (Submit returns ErrDraining, the
-// readiness probe flips to 503) and waits for every queued and
-// in-flight job to finish, or for ctx to fire. Idempotent.
+// Occupancy counts the table's entries: jobs admitted and not yet
+// finished, and finished jobs retained in memory.
+func (s *Server) Occupancy() (active, retained int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs) - s.lru.Len(), s.lru.Len()
+}
+
+// Drain stops admission of fresh work immediately (Submit refuses it
+// with ErrDraining, the readiness probe flips to 503; cache hits are
+// still answered) and waits for every admitted job to finish, or for
+// ctx to fire. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
-	return s.pool.Drain(ctx)
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	return s.exec.Stop(ctx)
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.pool.Draining() }
-
-// runJob executes one admitted job on a pool worker.
-func (s *Server) runJob(j *job) error {
+func (s *Server) Draining() bool {
 	s.mu.Lock()
-	j.state = stateRunning
-	s.mu.Unlock()
-	ctx := context.Background()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	res, err := j.canon.execute(ctx, j.id, s.reg)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.result = res
-	s.mu.Unlock()
-	return nil
-}
-
-// finishJob records the outcome (err may be a *runner.PanicError from
-// an isolated panic), persists a successful result to the durable
-// store, moves the entry into the LRU ring, and enforces the cache
-// bound.
-func (s *Server) finishJob(j *job, err error) {
-	if err == nil {
-		// The pool runs finishJob after runJob on the same worker, so
-		// j.result is stable here; persist outside the server lock.
-		s.storePut(j.hash, j.result)
-	}
-	s.mu.Lock()
-	if err != nil {
-		j.state = stateFailed
-		j.errMsg = err.Error()
-		s.met.JobsFailed.Inc()
-	} else {
-		j.state = stateDone
-	}
-	s.met.JobsExecuted.Inc()
-	s.met.JobLatencyMS.Observe(time.Since(j.enqueued).Milliseconds())
-	j.elem = s.lru.PushFront(j)
-	s.evictLocked()
-	s.mu.Unlock()
-	close(j.done)
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // evictLocked enforces the LRU cache bound. Caller holds s.mu.
 func (s *Server) evictLocked() {
 	for s.lru.Len() > s.cacheCap {
 		oldest := s.lru.Back()
-		s.removeLocked(oldest.Value.(*job))
+		s.removeLocked(oldest.Value.(*Job))
 		s.met.CacheEvictions.Inc()
 	}
 	s.met.CacheEntries.Set(int64(s.lru.Len()))
@@ -389,9 +464,9 @@ func (s *Server) storePut(hash string, res *JobResult) {
 	_ = s.store.Put(hash, payload)
 }
 
-// removeLocked drops a completed entry from the map and LRU ring.
+// removeLocked drops a finished entry from the map and LRU ring.
 // Caller holds s.mu.
-func (s *Server) removeLocked(j *job) {
+func (s *Server) removeLocked(j *Job) {
 	delete(s.jobs, j.id)
 	if j.elem != nil {
 		s.lru.Remove(j.elem)
@@ -409,9 +484,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
+	mux.HandleFunc("GET /v1/benchmarks", handleBenchmarks)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.Handle("/debug/", metrics.Handler(s.reg))
@@ -439,19 +514,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.Submit(spec)
+	var ref refused
 	switch {
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "service: draining, not accepting jobs")
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "service: job queue is full, retry later")
+	case errors.As(err, &ref):
+		w.Header().Set("Retry-After", "5")
+		writeError(w, http.StatusServiceUnavailable, ref.Error())
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	case resp.Cached:
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	default:
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteJSON(w, http.StatusAccepted, resp)
 	}
 }
 
@@ -462,7 +538,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -483,26 +559,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("service: job %s is not finished", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
+func handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	names := kernels.Names()
 	for _, b := range kernels.Extras() {
 		names = append(names, b.Name)
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
+	WriteJSON(w, http.StatusOK, map[string][]string{"benchmarks": names})
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	if err := s.exec.Ready(); err != nil {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": err.Error()})
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON body of a code answer, the encoding
+// every warpd endpoint uses.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -515,5 +597,5 @@ type errorBody struct {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: msg})
+	WriteJSON(w, code, errorBody{Error: msg})
 }

@@ -1,8 +1,8 @@
 // Package service is the simulation-as-a-service layer behind the
 // warpd daemon: a job model (spec, canonicalization, content hash), a
 // content-addressed result cache with in-flight coalescing, admission
-// control over a bounded runner pool, and the HTTP/JSON API that
-// exposes it all.
+// onto an Executor (a worker's bounded runner pool, or a coordinator's
+// ring in internal/cluster), and the HTTP/JSON API that exposes it all.
 //
 // Identical work is the common case for the sweeps this service
 // exists for — thousands of (kernel, config, seed) points, most of
@@ -266,8 +266,8 @@ func IDFromHash(hash string) string {
 // SpecKey canonicalizes spec and returns its full content hash (the
 // coalescing / durable-store key) and the wire job ID derived from it.
 // It is the exported form of the identity computation Submit performs,
-// so a coordinator (internal/cluster) can coalesce and cache on
-// exactly the keys its workers will compute.
+// for callers that address a job without submitting it, such as a
+// test placing a job on the cluster's hash ring.
 func SpecKey(spec *JobSpec) (hash, id string, err error) {
 	canon, err := spec.Canonicalize()
 	if err != nil {
