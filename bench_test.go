@@ -20,7 +20,7 @@ import (
 
 func BenchmarkFig1Utilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig1()
+		r, err := new(Engine).Fig1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func BenchmarkFig1Utilization(b *testing.B) {
 
 func BenchmarkFig5InstructionMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig5()
+		r, err := new(Engine).Fig5(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkFig5InstructionMix(b *testing.B) {
 
 func BenchmarkFig8aTypeSwitchDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig8a()
+		r, err := new(Engine).Fig8a(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkFig8aTypeSwitchDistance(b *testing.B) {
 
 func BenchmarkFig8bRAWDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig8b()
+		r, err := new(Engine).Fig8b(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig8bRAWDistance(b *testing.B) {
 func BenchmarkFig9aCoverage(b *testing.B) {
 	var warpInstrs int64
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig9a()
+		r, err := new(Engine).Fig9a(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkFig9aCoverage(b *testing.B) {
 func BenchmarkFig9bReplayQOverhead(b *testing.B) {
 	var warpInstrs int64
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig9b()
+		r, err := new(Engine).Fig9b(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFig9bReplayQOverhead(b *testing.B) {
 
 func BenchmarkFig10EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig10()
+		r, err := new(Engine).Fig10(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkFig10EndToEnd(b *testing.B) {
 
 func BenchmarkFig11PowerEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunFig11()
+		r, err := new(Engine).Fig11(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkFig11PowerEnergy(b *testing.B) {
 
 func BenchmarkFaultInjectionCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := RunCampaign("SHA", 5, int64(i+1))
+		c, err := new(Engine).Campaign(context.Background(), "SHA", 5, int64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,6 +29,7 @@ import (
 	"syscall"
 
 	"warped"
+	"warped/internal/arch"
 	"warped/internal/asm"
 	"warped/internal/isa"
 	"warped/internal/kernels"
@@ -58,7 +59,7 @@ func main() {
 		replayQ   = flag.Int("replayq", 10, "ReplayQ entries per SM")
 		cluster   = flag.Int("cluster", 4, "SIMT cluster size (4 or 8)")
 		sms       = flag.Int("sms", 30, "number of SMs")
-		policyStr = flag.String("policy", "full", "selective-protection policy: full|off|kernel:NAME[,..]|warpsample:1/N|activemask:MIN|pcrange:LO-HI (docs/POLICIES.md)")
+		policyStr = flag.String("policy", "full", "selective-protection policy: full|off|kernel:NAME[,..]|warpsample:1/N|activemask:MIN|pcset:LO-HI[,..]|epoch:ON/PERIOD (docs/POLICIES.md)")
 		noShuffle = flag.Bool("no-lane-shuffle", false, "disable lane shuffling on replays")
 		noDrain   = flag.Bool("no-idle-drain", false, "disable ReplayQ draining on idle units")
 		lintMode  = flag.String("lint", "on", "statically verify kernels before running: on|off")
@@ -101,28 +102,12 @@ func main() {
 	cfg.ReplayQSize = *replayQ
 	cfg.LaneShuffle = !*noShuffle
 	cfg.IdleDrain = !*noDrain
-	switch strings.ToLower(*dmrMode) {
-	case "off":
-		cfg.DMR = warped.DMROff
-	case "intra":
-		cfg.DMR = warped.DMRIntra
-	case "inter":
-		cfg.DMR = warped.DMRInter
-	case "full":
-		cfg.DMR = warped.DMRFull
-	case "dmtr":
-		cfg.DMR = warped.DMRTemporalAll
-	default:
-		fmt.Fprintf(os.Stderr, "warpsim: unknown -dmr %q\n", *dmrMode)
+	if cfg.DMR, err = arch.ParseDMR(*dmrMode); err != nil {
+		fmt.Fprintf(os.Stderr, "warpsim: -dmr: %v\n", err)
 		os.Exit(2)
 	}
-	switch strings.ToLower(*mapping) {
-	case "linear":
-		cfg.Mapping = warped.MapLinear
-	case "rr", "cross", "clusterrr":
-		cfg.Mapping = warped.MapClusterRR
-	default:
-		fmt.Fprintf(os.Stderr, "warpsim: unknown -mapping %q\n", *mapping)
+	if cfg.Mapping, err = arch.ParseMapping(*mapping); err != nil {
+		fmt.Fprintf(os.Stderr, "warpsim: -mapping: %v\n", err)
 		os.Exit(2)
 	}
 	cfg.Policy, err = warped.ParsePolicy(*policyStr)

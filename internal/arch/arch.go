@@ -6,6 +6,7 @@ package arch
 
 import (
 	"fmt"
+	"strings"
 
 	"warped/internal/cache"
 )
@@ -35,6 +36,18 @@ func (m MappingPolicy) String() string {
 	default:
 		return fmt.Sprintf("MappingPolicy(%d)", int(m))
 	}
+}
+
+// ParseMapping parses a mapping name, case-insensitively: what String
+// prints, plus "rr" and "cross" for clusterRR.
+func ParseMapping(s string) (MappingPolicy, error) {
+	switch strings.ToLower(s) {
+	case "linear":
+		return MapLinear, nil
+	case "rr", "cross", "clusterrr":
+		return MapClusterRR, nil
+	}
+	return 0, fmt.Errorf("arch: unknown mapping %q (want linear or rr)", s)
 }
 
 // SchedPolicy selects the warp scheduler's pick order.
@@ -95,12 +108,21 @@ func (m DMRMode) String() string {
 	}
 }
 
+// ParseDMR parses a DMR mode name as String prints it, case-insensitively.
+func ParseDMR(s string) (DMRMode, error) {
+	for m := DMROff; m <= DMRTemporalAll; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("arch: unknown DMR mode %q (want off, intra, inter, full or dmtr)", s)
+}
+
 // Config is the full machine description.
 type Config struct {
 	// --- chip geometry (paper Table 3) ---
 	NumSMs          int // streaming multiprocessors per chip
 	WarpSize        int // threads per warp (always 32 in this model)
-	NumSPs          int // shader processors per SM (32 => warp issues in 1 cycle)
 	ClusterSize     int // SIMT lanes per cluster sharing one RFU (4 or 8)
 	MaxThreadsPerSM int // resident thread contexts per SM
 	MaxBlocksPerSM  int // resident thread blocks per SM
@@ -109,9 +131,6 @@ type Config struct {
 	RegFileBytes    int // register file per SM (used for ReplayQ sizing ratio)
 
 	// --- pipeline latencies in cycles (paper Fig. 7) ---
-	FetchLat  int
-	DecodeLat int
-	RFLat     int     // register fetch
 	SPLat     int     // simple ALU/FPU op latency on an SP
 	SFULat    int     // special-function latency
 	SharedLat int     // shared-memory load-to-use latency
@@ -159,15 +178,6 @@ type Config struct {
 	// everything, byte-identical to the pre-policy engine; it is inert
 	// when DMR is DMROff.
 	Policy Policy
-
-	// Sampling DMR (Nomura et al., ISCA'11 — the paper's related-work
-	// comparison point): verify only during the first SampleOn cycles
-	// of every SamplePeriod-cycle epoch. SamplePeriod 0 disables
-	// sampling (Warped-DMR's always-on behaviour). Sampling detects
-	// permanent faults eventually but misses transients that strike
-	// outside the sampled window.
-	SamplePeriod int64
-	SampleOn     int64
 }
 
 // PaperConfig returns the baseline machine of Table 3: 30 SMs, 32-wide
@@ -176,7 +186,6 @@ func PaperConfig() Config {
 	return Config{
 		NumSMs:          30,
 		WarpSize:        32,
-		NumSPs:          32,
 		ClusterSize:     4,
 		MaxThreadsPerSM: 1024,
 		MaxBlocksPerSM:  8,
@@ -184,9 +193,6 @@ func PaperConfig() Config {
 		SharedMemBytes:  64 * 1024,
 		RegFileBytes:    128 * 1024,
 
-		FetchLat:  1,
-		DecodeLat: 2,
-		RFLat:     3,
 		SPLat:     4,
 		SFULat:    16,
 		SharedLat: 24,
@@ -238,9 +244,6 @@ func (c Config) RegBanksPerCluster() int {
 	return n
 }
 
-// MaxWarpsPerSM returns the number of resident warp contexts per SM.
-func (c Config) MaxWarpsPerSM() int { return c.MaxThreadsPerSM / c.WarpSize }
-
 // Validate reports the first configuration error found, or nil.
 func (c Config) Validate() error {
 	switch {
@@ -258,8 +261,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: SharedMemBytes must be non-negative, got %d", c.SharedMemBytes)
 	case c.ReplayQSize < 0:
 		return fmt.Errorf("arch: ReplayQSize must be non-negative, got %d", c.ReplayQSize)
-	case c.FetchLat <= 0 || c.DecodeLat <= 0 || c.RFLat <= 0:
-		return fmt.Errorf("arch: front-end latencies must be positive")
 	case c.SPLat <= 0 || c.SFULat <= 0 || c.SharedLat <= 0 || c.GlobalLat <= 0:
 		return fmt.Errorf("arch: execution latencies must be positive")
 	case c.CoalesceBytes <= 0:
@@ -272,8 +273,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: NumSchedulers must be 1 or 2, got %d", c.NumSchedulers)
 	case c.NumSchedulers > 1 && c.DMR != DMROff:
 		return fmt.Errorf("arch: Warped-DMR requires a single scheduler per SM (the Replay Checker watches one issue stream)")
-	case c.SamplePeriod < 0 || c.SampleOn < 0 || (c.SamplePeriod > 0 && c.SampleOn > c.SamplePeriod):
-		return fmt.Errorf("arch: sampling window %d exceeds period %d", c.SampleOn, c.SamplePeriod)
 	case c.ModelCaches && c.L1Lat <= 0:
 		return fmt.Errorf("arch: L1Lat must be positive, got %d", c.L1Lat)
 	case c.ModelCaches && c.L2Lat <= 0:

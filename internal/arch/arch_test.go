@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,7 +19,6 @@ func TestPaperConfigMatchesTable3(t *testing.T) {
 	}{
 		{"NumSMs", c.NumSMs, 30},
 		{"WarpSize", c.WarpSize, 32},
-		{"NumSPs", c.NumSPs, 32},
 		{"MaxThreadsPerSM", c.MaxThreadsPerSM, 1024},
 		{"NumRegBanks", c.NumRegBanks, 32},
 		{"SharedMemBytes", c.SharedMemBytes, 64 * 1024},
@@ -67,7 +67,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"no blocks", func(c *Config) { c.MaxBlocksPerSM = 0 }},
 		{"negative shared", func(c *Config) { c.SharedMemBytes = -1 }},
 		{"negative replayq", func(c *Config) { c.ReplayQSize = -1 }},
-		{"zero fetch latency", func(c *Config) { c.FetchLat = 0 }},
 		{"zero SP latency", func(c *Config) { c.SPLat = 0 }},
 		{"zero coalesce", func(c *Config) { c.CoalesceBytes = 0 }},
 		{"zero banks", func(c *Config) { c.NumSharedBanks = 0 }},
@@ -155,12 +154,34 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestParseModes: ParseDMR and ParseMapping accept what String prints,
+// in any case, plus the mapping aliases the CLIs and job spec take.
+func TestParseModes(t *testing.T) {
+	for _, m := range []DMRMode{DMROff, DMRIntra, DMRInter, DMRFull, DMRTemporalAll} {
+		for _, s := range []string{m.String(), strings.ToUpper(m.String())} {
+			if got, err := ParseDMR(s); err != nil || got != m {
+				t.Errorf("ParseDMR(%q) = %v, %v; want %v", s, got, err, m)
+			}
+		}
+	}
+	for s, want := range map[string]MappingPolicy{
+		"linear": MapLinear, "clusterRR": MapClusterRR, "rr": MapClusterRR, "CROSS": MapClusterRR,
+	} {
+		if got, err := ParseMapping(s); err != nil || got != want {
+			t.Errorf("ParseMapping(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseDMR("sideways"); err == nil {
+		t.Error("ParseDMR accepted an unknown mode")
+	}
+	if _, err := ParseMapping("diagonal"); err == nil {
+		t.Error("ParseMapping accepted an unknown mapping")
+	}
+}
+
 func TestDerivedGeometry(t *testing.T) {
 	c := PaperConfig()
 	if c.NumClusters() != 8 {
 		t.Errorf("NumClusters = %d, want 8", c.NumClusters())
-	}
-	if c.MaxWarpsPerSM() != 32 {
-		t.Errorf("MaxWarpsPerSM = %d, want 32", c.MaxWarpsPerSM())
 	}
 }

@@ -16,6 +16,7 @@ func FuzzParsePolicy(f *testing.F) {
 		"warpsample:1/4+2", "activemask:16", "pcrange:0-128",
 		"pcset:3-5,9-12", "pcset:vuln_micro@0-10,16-17",
 		"pcset:5-6,0-2,4-4", "pc:-1-2", "kernel:", "quantum", "",
+		"epoch:250/1000",
 	} {
 		f.Add(seed)
 	}

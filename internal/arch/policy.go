@@ -12,8 +12,8 @@ import (
 // The paper protects everything (PolicyFull); the other kinds trade
 // coverage for overhead along the axes partial-protection work (Yang
 // et al., PAPERS.md) shows matter: which kernels, which warps, which
-// program regions, and how utilized the warp is. docs/POLICIES.md is
-// the policy contract.
+// program regions, which cycles, and how utilized the warp is.
+// docs/POLICIES.md is the policy contract.
 type PolicyKind int
 
 const (
@@ -35,17 +35,17 @@ const (
 	// Policy.MinActive executing lanes — the warps whose verification
 	// inter-warp DMR makes cheap.
 	PolicyActiveMask
-	// PolicyPCRange protects only instructions whose PC lies in
-	// [Policy.PCLo, Policy.PCHi] — region protection for a kernel's
-	// vulnerable phase.
-	PolicyPCRange
 	// PolicyPCSet protects the union of the PC ranges in
 	// Policy.PCRanges, optionally scoped to one kernel (other kernels
-	// stay fully protected). This is the spelling SynthesizePolicy
-	// emits when a kernel's unACE PCs punch holes in the middle of the
-	// program, where a single pcrange interval cannot express the
-	// protected complement.
+	// stay fully protected): region protection for a kernel's
+	// vulnerable phases, and the spelling SynthesizePolicy emits.
 	PolicyPCSet
+	// PolicyEpoch protects only instructions issued in the first
+	// Policy.EpochOn cycles of every Policy.EpochPeriod-cycle epoch:
+	// sampling DMR (Nomura et al., ISCA'11), the paper's related-work
+	// comparison point. It detects permanent faults eventually but
+	// misses transients that strike outside the sampled window.
+	PolicyEpoch
 )
 
 func (k PolicyKind) String() string {
@@ -60,10 +60,10 @@ func (k PolicyKind) String() string {
 		return "warpsample"
 	case PolicyActiveMask:
 		return "activemask"
-	case PolicyPCRange:
-		return "pcrange"
 	case PolicyPCSet:
 		return "pcset"
+	case PolicyEpoch:
+		return "epoch"
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
@@ -92,10 +92,10 @@ type Policy struct {
 	// this many executing lanes (1..32).
 	MinActive int
 
-	// PCLo/PCHi (PolicyPCRange): protect instructions with
-	// PCLo <= PC <= PCHi.
-	PCLo int
-	PCHi int
+	// EpochOn/EpochPeriod (PolicyEpoch): protect instructions whose
+	// SM issue cycle c satisfies c % EpochPeriod < EpochOn.
+	EpochOn     int
+	EpochPeriod int
 
 	// PCRanges/PCKernel (PolicyPCSet): protect instructions whose PC
 	// lies in any [lo, hi] pair of PCRanges. When PCKernel is non-empty
@@ -120,8 +120,8 @@ type Policy struct {
 //	kernel:NAME[,NAME...]        kernel:!NAME[,NAME...]
 //	warpsample:1/N[+PHASE]
 //	activemask:MIN
-//	pcrange:LO-HI
 //	pcset:[KERNEL@]LO-HI[,LO-HI...]
+//	epoch:ON/PERIOD
 func (p Policy) String() string {
 	switch p.Kind {
 	case PolicyFull:
@@ -141,8 +141,6 @@ func (p Policy) String() string {
 		return fmt.Sprintf("warpsample:1/%d", p.SampleN)
 	case PolicyActiveMask:
 		return fmt.Sprintf("activemask:%d", p.MinActive)
-	case PolicyPCRange:
-		return fmt.Sprintf("pcrange:%d-%d", p.PCLo, p.PCHi)
 	case PolicyPCSet:
 		var b strings.Builder
 		b.WriteString("pcset:")
@@ -157,6 +155,8 @@ func (p Policy) String() string {
 			fmt.Fprintf(&b, "%d-%d", r[0], r[1])
 		}
 		return b.String()
+	case PolicyEpoch:
+		return fmt.Sprintf("epoch:%d/%d", p.EpochOn, p.EpochPeriod)
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p.Kind))
 	}
@@ -205,13 +205,7 @@ func ParsePolicy(s string) (Policy, error) {
 			return p, fmt.Errorf("arch: policy %q: want activemask:MIN, got %q", s, arg)
 		}
 		p.Kind, p.MinActive = PolicyActiveMask, n
-	case "pcrange", "pc":
-		lo, hi, ok := cutInt(arg, "-")
-		if !ok {
-			return p, fmt.Errorf("arch: policy %q: want pcrange:LO-HI, got %q", s, arg)
-		}
-		p.Kind, p.PCLo, p.PCHi = PolicyPCRange, lo, hi
-	case "pcset":
+	case "pcset", "pcrange", "pc":
 		p.Kind = PolicyPCSet
 		ranges := arg
 		if scope, rest, found := strings.Cut(arg, "@"); found {
@@ -230,8 +224,14 @@ func ParsePolicy(s string) (Policy, error) {
 		if len(p.PCRanges) == 0 {
 			return p, fmt.Errorf("arch: policy %q: pcset needs at least one LO-HI range", s)
 		}
+	case "epoch":
+		on, period, ok := cutInt(arg, "/")
+		if !ok {
+			return p, fmt.Errorf("arch: policy %q: want epoch:ON/PERIOD, got %q", s, arg)
+		}
+		p.Kind, p.EpochOn, p.EpochPeriod = PolicyEpoch, on, period
 	default:
-		return p, fmt.Errorf("arch: unknown policy %q (want full, off, kernel:..., warpsample:1/N, activemask:MIN, pcrange:LO-HI or pcset:...)", s)
+		return p, fmt.Errorf("arch: unknown policy %q (want full, off, kernel:..., warpsample:1/N, activemask:MIN, pcset:... or epoch:ON/PERIOD)", s)
 	}
 	if hasArg && (p.Kind == PolicyFull || p.Kind == PolicyOff) && arg != "" {
 		return p, fmt.Errorf("arch: policy %q takes no argument", kind)
@@ -276,11 +276,11 @@ func (p Policy) Normalized() Policy {
 		}
 	case PolicyActiveMask:
 		out.MinActive = p.MinActive
-	case PolicyPCRange:
-		out.PCLo, out.PCHi = p.PCLo, p.PCHi
 	case PolicyPCSet:
 		out.PCKernel = p.PCKernel
 		out.PCRanges = mergeRanges(p.PCRanges)
+	case PolicyEpoch:
+		out.EpochOn, out.EpochPeriod = p.EpochOn, p.EpochPeriod
 	}
 	return out
 }
@@ -351,11 +351,6 @@ func (p Policy) Validate() error {
 			return fmt.Errorf("arch: activemask threshold %d out of 1..32", p.MinActive)
 		}
 		return nil
-	case PolicyPCRange:
-		if p.PCLo < 0 || p.PCHi < p.PCLo {
-			return fmt.Errorf("arch: pcrange %d-%d is not a valid PC interval", p.PCLo, p.PCHi)
-		}
-		return nil
 	case PolicyPCSet:
 		if len(p.PCRanges) == 0 {
 			return fmt.Errorf("arch: pcset needs at least one PC range")
@@ -364,6 +359,11 @@ func (p Policy) Validate() error {
 			if r[0] < 0 || r[1] < r[0] {
 				return fmt.Errorf("arch: pcset range %d-%d is not a valid PC interval", r[0], r[1])
 			}
+		}
+		return nil
+	case PolicyEpoch:
+		if p.EpochPeriod < 1 || p.EpochOn < 0 || p.EpochOn > p.EpochPeriod {
+			return fmt.Errorf("arch: epoch window %d/%d needs 0 <= ON <= PERIOD and PERIOD >= 1", p.EpochOn, p.EpochPeriod)
 		}
 		return nil
 	default:
@@ -388,7 +388,7 @@ func (p Policy) ProtectsKernel(name string) bool {
 			}
 		}
 		return listed != p.Exclude
-	case PolicyFull, PolicyWarpSample, PolicyActiveMask, PolicyPCRange, PolicyPCSet:
+	case PolicyFull, PolicyWarpSample, PolicyActiveMask, PolicyPCSet, PolicyEpoch:
 		return true
 	default:
 		return true

@@ -17,9 +17,9 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		"warpsample:1/2",
 		"warpsample:1/4+2",
 		"activemask:16",
-		"pcrange:0-128",
 		"pcset:3-5,9-12",
 		"pcset:vuln_micro@0-10,16-17",
+		"epoch:250/1000",
 	} {
 		p, err := ParsePolicy(s)
 		if err != nil {
@@ -45,7 +45,8 @@ func TestParsePolicyAliases(t *testing.T) {
 		{"sample:1/4", "warpsample:1/4"},
 		{"warpsample:1/4+6", "warpsample:1/4+2"}, // phase wrapped mod N
 		{"active:16", "activemask:16"},
-		{"pc:0-128", "pcrange:0-128"},
+		{"pcrange:0-128", "pcset:0-128"},
+		{"pc:0-128", "pcset:0-128"},
 		{"pcset:5-6,0-2,4-4", "pcset:0-2,4-6"},      // sorted, adjacent merged
 		{"pcset:0-8,3-5,6-12", "pcset:0-12"},        // overlaps coalesced
 		{"pcset: K @ 1-2 , 4-5", "pcset:K@1-2,4-5"}, // whitespace trimmed
@@ -88,6 +89,10 @@ func TestParsePolicyRejects(t *testing.T) {
 		"pcset:10-5",
 		"pcset:0-3,9-7",
 		"pcset:abc",
+		"epoch:0/0",
+		"epoch:5/4",
+		"epoch:-1/10",
+		"epoch:250",
 	} {
 		if p, err := ParsePolicy(s); err == nil {
 			t.Errorf("ParsePolicy(%q) accepted: %+v", s, p)
@@ -98,7 +103,7 @@ func TestParsePolicyRejects(t *testing.T) {
 // TestPolicyNormalizedZeroesForeignFields: wire-level noise in fields
 // the kind does not read cannot fork a canonical form.
 func TestPolicyNormalizedZeroesForeignFields(t *testing.T) {
-	noisy := Policy{Kind: PolicyActiveMask, MinActive: 8, SampleN: 3, PCHi: 99, Kernels: []string{"x"}}
+	noisy := Policy{Kind: PolicyActiveMask, MinActive: 8, SampleN: 3, EpochPeriod: 99, Kernels: []string{"x"}}
 	want := Policy{Kind: PolicyActiveMask, MinActive: 8}
 	if got := noisy.Normalized(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Normalized() = %+v, want %+v", got, want)
@@ -124,6 +129,7 @@ func TestPolicyProtectsKernel(t *testing.T) {
 		{exclude, "BFS", false},
 		{exclude, "MatrixMul", true},
 		{Policy{Kind: PolicyWarpSample, SampleN: 4}, "anything", true},
+		{Policy{Kind: PolicyEpoch, EpochOn: 1, EpochPeriod: 4}, "anything", true},
 		{Policy{Kind: PolicyPCSet, PCRanges: [][2]int{{0, 4}}, PCKernel: "BFS"}, "SHA", true},
 	}
 	for _, c := range cases {

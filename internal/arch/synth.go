@@ -14,7 +14,6 @@ package arch
 //	no unACE PCs      -> full
 //	every PC unACE    -> kernel:!KERNEL (skip just this kernel)
 //	otherwise         -> pcset:KERNEL@...   (complement ranges)
-//	                     pcrange:LO-HI when unscoped and contiguous
 func SynthesizePolicy(kernel string, n int, unACE []int) Policy {
 	skip := make([]bool, n)
 	skipped := 0
@@ -40,9 +39,6 @@ func SynthesizePolicy(kernel string, n int, unACE []int) Policy {
 			continue
 		}
 		protect = append(protect, [2]int{pc, pc})
-	}
-	if kernel == "" && len(protect) == 1 {
-		return Policy{Kind: PolicyPCRange, PCLo: protect[0][0], PCHi: protect[0][1]}
 	}
 	if len(protect) == 0 {
 		// skipped == n with no kernel name to scope by: protect nothing.

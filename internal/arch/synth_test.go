@@ -20,7 +20,7 @@ func TestSynthesizePolicy(t *testing.T) {
 		{"all dead, scoped", "K", 3, []int{0, 1, 2}, "kernel:!K"},
 		{"all dead, unscoped", "", 3, []int{0, 1, 2}, "off"},
 		{"hole in the middle", "vuln_micro", 18, []int{11, 12, 13, 14, 15}, "pcset:vuln_micro@0-10,16-17"},
-		{"suffix dead, unscoped", "", 10, []int{7, 8, 9}, "pcrange:0-6"},
+		{"suffix dead, unscoped", "", 10, []int{7, 8, 9}, "pcset:0-6"},
 		{"prefix dead, scoped", "K", 6, []int{0, 1}, "pcset:K@2-5"},
 		{"duplicates collapse", "K", 4, []int{1, 1, 1}, "pcset:K@0-0,2-3"},
 	}

@@ -169,6 +169,9 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 			job := `{"source": ".kernel tiny\n\tmov r0, %tid.x\n\texit\n"}`
 			fresh := `{"source": ".kernel tiny\n\tmov r0, %tid.x\n\texit\n", "params": [1]}`
 			bad := `{"source": ".kernel bad\n\tbogus r0\n"}`
+			// Word tid is stored and word tid+1 loaded with no barrier:
+			// a race across warps at the 64-thread launch geometry.
+			racy := `{"source": ".kernel racy\n.reg 4\n.shared 512\nmov r0, %tid.x\nshl r1, r0, 2\nmov r2, 1\nst.shared [r1], r2\nld.shared r3, [r1+4]\nexit\n", "block_x": 64}`
 			var id string
 
 			cases := []struct {
@@ -227,6 +230,15 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 					waitFor(t, badID, "failed")
 					if got := counter("jobs_executed_total"); got != executed+1 {
 						t.Errorf("jobs_executed_total = %d after resubmitting a failed job, want %d", got, executed+1)
+					}
+				}},
+				{"kernel racing at its launch geometry fails", func(t *testing.T) {
+					_, _, out := call(t, http.MethodPost, "/v1/jobs", racy)
+					racyID, _ := out["id"].(string)
+					waitFor(t, racyID, "failed")
+					_, _, st := call(t, http.MethodGet, "/v1/jobs/"+racyID, "")
+					if msg, _ := st["error"].(string); !strings.Contains(msg, "job:"+racyID) || !strings.Contains(msg, "shared-race") {
+						t.Errorf("racy job error = %q, want it to cite job:%s and shared-race", msg, racyID)
 					}
 				}},
 				{"draining serves hits and refuses fresh work", func(t *testing.T) {

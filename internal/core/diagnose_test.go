@@ -92,13 +92,13 @@ func TestDiagnoserEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSamplingDMRReducesCoverage: with a 25% duty cycle, eligible
-// instructions outside the window go unverified, and the stall overhead
-// drops accordingly.
+// TestSamplingDMRReducesCoverage: with a 25% duty cycle (the policy
+// epoch:25/100), eligible instructions outside the window go
+// unverified, and the stall overhead drops accordingly.
 func TestSamplingDMRReducesCoverage(t *testing.T) {
-	run := func(period, on int64) *stats.Stats {
+	run := func(p arch.Policy) *stats.Stats {
 		cfg := arch.WarpedDMRConfig()
-		cfg.SamplePeriod, cfg.SampleOn = period, on
+		cfg.Policy = p
 		cfg.ReplayQSize = 0 // make stalls visible
 		st := &stats.Stats{}
 		e := NewEngine(cfg, 0, st, nil, nil)
@@ -111,8 +111,12 @@ func TestSamplingDMRReducesCoverage(t *testing.T) {
 		e.Drain(100)
 		return st
 	}
-	always := run(0, 0)
-	sampled := run(100, 25)
+	always := run(arch.Policy{})
+	sampled := run(arch.Policy{Kind: arch.PolicyEpoch, EpochOn: 25, EpochPeriod: 100})
+	if sampled.ProtectedTI+sampled.SkippedTI != sampled.EligibleTI {
+		t.Errorf("sampled run: protected %d + skipped %d != eligible %d",
+			sampled.ProtectedTI, sampled.SkippedTI, sampled.EligibleTI)
+	}
 	if always.VerifiedInter <= sampled.VerifiedInter {
 		t.Errorf("sampling should verify less: %d vs %d",
 			sampled.VerifiedInter, always.VerifiedInter)

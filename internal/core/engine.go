@@ -40,7 +40,7 @@ type IssueInfo struct {
 	WarpGID int       // unique warp identifier within the SM
 	Phys    simt.Mask // physical-lane mask of executing lanes
 	Width   int       // lanes the warp launched with
-	Cycle   int64     // SM cycle of the issue (sampling-DMR epochs)
+	Cycle   int64     // SM cycle of the issue
 }
 
 // qEntry is one unverified instruction buffered in the ReplayQ. The
@@ -294,19 +294,12 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	eligible := int64(rec.Executing.Count())
 	e.st.EligibleTI += eligible
 
-	// Sampling DMR: outside the sampled window, resolve whatever is in
-	// flight and stop verifying new work (transients there are missed).
-	if p := e.cfg.SamplePeriod; p > 0 && info.Cycle%p >= e.cfg.SampleOn {
-		if e.hasPending {
-			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)
-		}
-		return stall
-	}
-
 	// Selective protection: the policy decides from pre-computed facts
 	// whether this instruction is verified. Skipped instructions stay in
 	// EligibleTI, so Coverage() reports what the policy actually bought.
-	if e.policy != nil && !e.policy.Protect(PolicyFacts{WarpGID: info.WarpGID, PC: rec.PC, Active: int(eligible)}) {
+	if e.policy != nil && !e.policy.Protect(PolicyFacts{
+		WarpGID: info.WarpGID, PC: rec.PC, Active: int(eligible), Cycle: info.Cycle,
+	}) {
 		e.st.SkippedTI += eligible
 		if e.hasPending {
 			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)

@@ -8,9 +8,10 @@ import "warped/internal/arch"
 // one — so a policy check costs one interface call and a handful of
 // integer compares (docs/POLICIES.md, "The decision point").
 type PolicyFacts struct {
-	WarpGID int // SM-unique warp identifier, assigned in dispatch order
-	PC      int // program counter of the issued instruction
-	Active  int // executing (non-exited, unmasked) lane count
+	WarpGID int   // SM-unique warp identifier, assigned in dispatch order
+	PC      int   // program counter of the issued instruction
+	Active  int   // executing (non-exited, unmasked) lane count
+	Cycle   int64 // SM cycle of the issue
 }
 
 // ProtectionPolicy decides, per issued warp instruction, whether the
@@ -53,13 +54,16 @@ func CompilePolicy(p arch.Policy, kernel string) ProtectionPolicy {
 			return nil // every executing instruction has >= 1 lane
 		}
 		return activeMaskPolicy{min: p.MinActive}
-	case arch.PolicyPCRange:
-		return pcRangePolicy{lo: p.PCLo, hi: p.PCHi}
 	case arch.PolicyPCSet:
 		if p.PCKernel != "" && p.PCKernel != kernel {
 			return nil // the set is scoped to another kernel: full protection
 		}
 		return pcSetPolicy{ranges: p.PCRanges}
+	case arch.PolicyEpoch:
+		if p.EpochOn >= p.EpochPeriod {
+			return nil // the window covers the whole epoch
+		}
+		return epochPolicy{on: int64(p.EpochOn), period: int64(p.EpochPeriod)}
 	default: // future kinds default to full protection
 		return nil
 	}
@@ -84,11 +88,6 @@ type activeMaskPolicy struct{ min int }
 
 func (p activeMaskPolicy) Protect(f PolicyFacts) bool { return f.Active >= p.min }
 
-// pcRangePolicy protects the [lo, hi] PC region.
-type pcRangePolicy struct{ lo, hi int }
-
-func (p pcRangePolicy) Protect(f PolicyFacts) bool { return f.PC >= p.lo && f.PC <= p.hi }
-
 // pcSetPolicy protects a union of PC ranges — the compiled form of a
 // vulnerability-synthesized policy. Ranges arrive normalized (sorted,
 // disjoint) from arch.Policy.Normalized, so a linear scan with an
@@ -108,3 +107,10 @@ func (p pcSetPolicy) Protect(f PolicyFacts) bool {
 	}
 	return false
 }
+
+// epochPolicy protects the first on cycles of every period-cycle
+// epoch: sampling DMR. Issue cycles are deterministic, so the protected
+// set is identical run to run.
+type epochPolicy struct{ on, period int64 }
+
+func (p epochPolicy) Protect(f PolicyFacts) bool { return f.Cycle%p.period < p.on }

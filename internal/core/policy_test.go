@@ -22,6 +22,7 @@ func TestCompilePolicyDegeneratesToNil(t *testing.T) {
 		{"1/1 sampling", arch.Policy{Kind: arch.PolicyWarpSample, SampleN: 1}, "K"},
 		{"activemask 1", arch.Policy{Kind: arch.PolicyActiveMask, MinActive: 1}, "K"},
 		{"pcset scoped elsewhere", arch.Policy{Kind: arch.PolicyPCSet, PCRanges: [][2]int{{0, 4}}, PCKernel: "other"}, "K"},
+		{"epoch window covers the epoch", arch.Policy{Kind: arch.PolicyEpoch, EpochOn: 100, EpochPeriod: 100}, "K"},
 	}
 	for _, c := range cases {
 		if got := CompilePolicy(c.p, c.kernel); got != nil {
@@ -61,13 +62,13 @@ func TestCompilePolicyDecisions(t *testing.T) {
 		}
 	}
 
-	pr := CompilePolicy(arch.Policy{Kind: arch.PolicyPCRange, PCLo: 4, PCHi: 8}, "K")
+	ep := CompilePolicy(arch.Policy{Kind: arch.PolicyEpoch, EpochOn: 25, EpochPeriod: 100}, "K")
 	for _, c := range []struct {
-		pc   int
-		want bool
-	}{{3, false}, {4, true}, {8, true}, {9, false}} {
-		if got := pr.Protect(PolicyFacts{PC: c.pc}); got != c.want {
-			t.Errorf("pcrange:4-8 Protect(pc=%d) = %v, want %v", c.pc, got, c.want)
+		cycle int64
+		want  bool
+	}{{0, true}, {24, true}, {25, false}, {99, false}, {100, true}, {124, true}, {125, false}} {
+		if got := ep.Protect(PolicyFacts{Cycle: c.cycle}); got != c.want {
+			t.Errorf("epoch:25/100 Protect(cycle=%d) = %v, want %v", c.cycle, got, c.want)
 		}
 	}
 

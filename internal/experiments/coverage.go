@@ -31,9 +31,6 @@ func (r *Fig9aResult) Averages() (c4, c8, cross float64) {
 	return mean(r.Cov4), mean(r.Cov8), mean(r.CovCross)
 }
 
-// RunFig9a reproduces Figure 9(a) on the default Engine.
-func RunFig9a() (*Fig9aResult, error) { return defaultEngine.Fig9a(context.Background()) }
-
 // Fig9a reproduces Figure 9(a) under full Warped-DMR. All three
 // machine variants fan out as one grid.
 func (e *Engine) Fig9a(ctx context.Context) (*Fig9aResult, error) {
@@ -113,9 +110,6 @@ func (r *Fig9bResult) Averages() []float64 {
 	}
 	return out
 }
-
-// RunFig9b reproduces Figure 9(b) on the default Engine.
-func RunFig9b() (*Fig9bResult, error) { return defaultEngine.Fig9b(context.Background()) }
 
 // Fig9b reproduces Figure 9(b): normalized kernel cycles under full
 // Warped-DMR with ReplayQ sizes 0, 1, 5, 10. The no-DMR baseline and

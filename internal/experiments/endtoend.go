@@ -24,9 +24,6 @@ type Fig10Result struct {
 	Transfer [][]float64
 }
 
-// RunFig10 reproduces Figure 10 on the default Engine.
-func RunFig10() (*Fig10Result, error) { return defaultEngine.Fig10(context.Background()) }
-
 // Fig10 reproduces Figure 10. Each (benchmark, approach) evaluation is
 // an independent run, so the whole 11×5 grid fans out at once.
 func (e *Engine) Fig10(ctx context.Context) (*Fig10Result, error) {
@@ -109,9 +106,6 @@ type Fig11Result struct {
 // Averages returns the benchmark-average normalized power and energy.
 func (r *Fig11Result) Averages() (p, e float64) { return mean(r.Power), mean(r.Energy) }
 
-// RunFig11 reproduces Figure 11 on the default Engine.
-func RunFig11() (*Fig11Result, error) { return defaultEngine.Fig11(context.Background()) }
-
 // Fig11 reproduces Figure 11 with the Hong&Kim-style model.
 func (e *Engine) Fig11(ctx context.Context) (*Fig11Result, error) {
 	pp := power.DefaultParams()
@@ -162,11 +156,6 @@ func (c CampaignResult) DetectionRate() float64 {
 		return 0
 	}
 	return float64(c.Detected) / float64(c.Activated)
-}
-
-// RunCampaign runs a campaign on the default Engine.
-func RunCampaign(benchName string, n int, seed int64) (*CampaignResult, error) {
-	return defaultEngine.Campaign(context.Background(), benchName, n, seed)
 }
 
 // campaignOutcome classifies one fault-injected run.

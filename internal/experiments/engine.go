@@ -40,9 +40,6 @@ func (e *Engine) pool() runner.Options {
 	return runner.Options{Workers: e.Workers, OnProgress: e.Progress, Metrics: e.Metrics}
 }
 
-// defaultEngine backs the package-level Run* wrappers.
-var defaultEngine = &Engine{}
-
 // runGrid executes every Table 4 benchmark under every config
 // concurrently and returns the per-benchmark stats in paper order, one
 // row per config. The whole cfgs × benchmarks grid is a single fan-out,

@@ -10,8 +10,7 @@
 // Every harness runs its (benchmark × config × seed) grid through the
 // Engine's worker pool: independent runs execute concurrently, results
 // merge by submission index, and the rendered tables are byte-identical
-// to a serial execution. The package-level Run* functions are thin
-// wrappers over a default Engine with background context.
+// to a serial execution. The zero Engine is ready to use.
 package experiments
 
 import (
@@ -43,9 +42,6 @@ type Fig1Result struct {
 	Names     []string
 	Fractions [][5]float64 // per benchmark: buckets 1, 2-11, 12-21, 22-31, 32
 }
-
-// RunFig1 reproduces Figure 1 on the default Engine.
-func RunFig1() (*Fig1Result, error) { return defaultEngine.Fig1(context.Background()) }
 
 // Fig1 reproduces Figure 1 on the plain (no-DMR) machine.
 func (e *Engine) Fig1(ctx context.Context) (*Fig1Result, error) {
@@ -79,9 +75,6 @@ type Fig5Result struct {
 	Fractions [][3]float64 // SP, SFU, LDST
 }
 
-// RunFig5 reproduces Figure 5 on the default Engine.
-func RunFig5() (*Fig5Result, error) { return defaultEngine.Fig5(context.Background()) }
-
 // Fig5 reproduces Figure 5.
 func (e *Engine) Fig5(ctx context.Context) (*Fig5Result, error) {
 	names, res, err := e.runAll(ctx, arch.PaperConfig(), sim.LaunchOpts{})
@@ -113,9 +106,6 @@ type Fig8aResult struct {
 	Names []string
 	Mean  [][3]float64 // SP, LDST, SFU run lengths per benchmark
 }
-
-// RunFig8a reproduces Figure 8(a) on the default Engine.
-func RunFig8a() (*Fig8aResult, error) { return defaultEngine.Fig8a(context.Background()) }
 
 // Fig8a reproduces Figure 8(a): the average distance before the
 // issued instruction type switches — the key ReplayQ sizing input.
@@ -160,9 +150,6 @@ type Fig8bResult struct {
 var fig8bBenchmarks = []string{
 	"MatrixMul", "CUFFT", "BitonicSort", "Nqueen", "Laplace", "SHA", "RadixSort",
 }
-
-// RunFig8b reproduces Figure 8(b) on the default Engine.
-func RunFig8b() (*Fig8bResult, error) { return defaultEngine.Fig8b(context.Background()) }
 
 // Fig8b reproduces Figure 8(b): cycles between a register write and
 // its next read in one tracked warp (warp 1, or warp 0 for single-warp

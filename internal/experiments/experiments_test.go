@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestFig1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig1()
+	r, err := new(Engine).Fig1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestFig5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig5()
+	r, err := new(Engine).Fig5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFig8aBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig8a()
+	r, err := new(Engine).Fig8a(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFig8bDistances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig8b()
+	r, err := new(Engine).Fig8b(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFig9aOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig9a()
+	r, err := new(Engine).Fig9a(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestFig9bMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig9b()
+	r, err := new(Engine).Fig9b(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestFig10Normalized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig10()
+	r, err := new(Engine).Fig10(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestFig11PowerEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig11()
+	r, err := new(Engine).Fig11(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestCampaignDetectsFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	c, err := RunCampaign("MatrixMul", 10, 42)
+	c, err := new(Engine).Campaign(context.Background(), "MatrixMul", 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestSchedulerStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunSchedulerStudy()
+	r, err := new(Engine).SchedulerStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestSamplingTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunSampling()
+	r, err := new(Engine).Sampling(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestDetectionLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunDetectionLatency("MatrixMul", 8, 21)
+	r, err := new(Engine).DetectionLatency(context.Background(), "MatrixMul", 8, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,8 @@ type SamplingResult struct {
 	Points     []SamplingPoint
 }
 
-// RunSampling sweeps the DMR duty cycle on the default Engine.
-func RunSampling() (*SamplingResult, error) { return defaultEngine.Sampling(context.Background()) }
-
-// Sampling sweeps the DMR duty cycle with a fixed 1000-cycle epoch.
+// Sampling sweeps the DMR duty cycle as the protection policy
+// epoch:ON/1000 (epoch:1000/1000, the 100% point, is full protection).
 // The no-DMR baselines fan out across benchmarks, then each duty-cycle
 // point runs as an independent task (its RNG is seeded by the duty, so
 // draws stay in the serial order within a point and the sweep is
@@ -64,10 +62,7 @@ func (e *Engine) Sampling(ctx context.Context) (*SamplingResult, error) {
 		func(ctx context.Context, di int) (SamplingPoint, error) {
 			duty := duties[di]
 			cfg := arch.WarpedDMRConfig()
-			if duty < 100 {
-				cfg.SamplePeriod = epoch
-				cfg.SampleOn = int64(epoch * duty / 100)
-			}
+			cfg.Policy = arch.Policy{Kind: arch.PolicyEpoch, EpochOn: epoch * duty / 100, EpochPeriod: epoch}
 			var covs, ovhs []float64
 			detected, activated := 0, 0
 			rng := rand.New(rand.NewSource(int64(duty)))
@@ -161,11 +156,6 @@ type SchedulerResult struct {
 	Speedup []float64
 }
 
-// RunSchedulerStudy compares schedulers on the default Engine.
-func RunSchedulerStudy() (*SchedulerResult, error) {
-	return defaultEngine.SchedulerStudy(context.Background())
-}
-
 // SchedulerStudy compares 1 vs 2 schedulers per SM with DMR off.
 func (e *Engine) SchedulerStudy(ctx context.Context) (*SchedulerResult, error) {
 	one := arch.PaperConfig()
@@ -211,11 +201,6 @@ type LatencyResult struct {
 	MeanDelay float64 // cycles, activation -> first comparator mismatch
 	MaxDelay  int64
 	KernelLen int64 // kernel cycles = the software end-of-run bound
-}
-
-// RunDetectionLatency measures detection latency on the default Engine.
-func RunDetectionLatency(benchName string, trials int, seed int64) (*LatencyResult, error) {
-	return defaultEngine.DetectionLatency(context.Background(), benchName, trials, seed)
 }
 
 // latencyTrial is one transient-injection measurement.

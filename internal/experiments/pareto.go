@@ -93,11 +93,6 @@ func (r *ParetoResult) Point(bi, pi int) *ParetoPoint {
 	return &r.Points[bi*len(r.Policies)+pi]
 }
 
-// RunPareto runs a policy sweep on the default Engine.
-func RunPareto(spec ParetoSpec) (*ParetoResult, error) {
-	return defaultEngine.Pareto(context.Background(), spec)
-}
-
 // Pareto sweeps the selective-protection policies over every Table 4
 // benchmark and reports, per (benchmark, policy) cell, the coverage the
 // policy retains and the cycle overhead it pays — the axes of a

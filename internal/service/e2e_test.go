@@ -312,6 +312,23 @@ func TestE2EErrors(t *testing.T) {
 		t.Errorf("assembler error %q does not cite %q", st.Error, want)
 	}
 
+	// A kernel whose shared-memory accesses race only across warps is
+	// verified at the job's launch geometry: at 64 threads it fails,
+	// citing the job and the verifier rule.
+	resp, err = c.Submit(ctx, &client.JobSpec{Source: racySrc, BlockX: 64})
+	if err != nil {
+		t.Fatalf("Submit racy source: %v", err)
+	}
+	if _, err := c.Wait(ctx, resp.ID); err == nil {
+		t.Fatal("Wait on a kernel racing at its launch geometry returned no error")
+	}
+	if st, err = c.Status(ctx, resp.ID); err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if st.Status != "failed" || !contains(st.Error, "job:"+resp.ID) || !contains(st.Error, "shared-race") {
+		t.Errorf("racy job status = %+v, want failed citing job:%s and shared-race", st, resp.ID)
+	}
+
 	// Unknown POST body fields are rejected.
 	r, err := http.Post(ts.URL+"/v1/jobs", "application/json", nil)
 	if err != nil {
@@ -343,3 +360,17 @@ func TestE2EBenchmarksEndpoint(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// racySrc stores to word tid and loads word tid+1 with no barrier
+// between: a race between the last thread of one warp and the first of
+// the next, so it verifies clean at one warp and fails at 64 threads.
+const racySrc = `.kernel racy
+.reg 4
+.shared 512
+mov r0, %tid.x
+shl r1, r0, 2
+mov r2, 1
+st.shared [r1], r2
+ld.shared r3, [r1+4]
+exit
+`

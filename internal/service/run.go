@@ -12,6 +12,7 @@ import (
 	"warped/internal/runner"
 	"warped/internal/sim"
 	"warped/internal/stats"
+	"warped/internal/verify"
 )
 
 // JobResult is the durable outcome of one executed job: the merged
@@ -109,15 +110,21 @@ func (c *canonicalJob) execute(ctx context.Context, id string, reg *metrics.Regi
 // runSource assembles and launches an inline kernel on a fresh GPU.
 // The source name is the job's content address, so assembly and
 // static-verification diagnostics point back at the job that carried
-// the bad kernel.
+// the bad kernel. The verifier checks the job's launch geometry, as
+// warpsim -kernel does, so the tid-aware shared-bounds and race rules
+// apply even when the kernel declares no .block of its own.
 func (c *canonicalJob) runSource(ctx context.Context, id string, opts sim.LaunchOpts) (*stats.Stats, error) {
 	g, err := sim.New(c.Config, 0)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := asm.AssembleVerifiedNamed("job:"+id, c.Source)
+	name := "job:" + id
+	prog, err := asm.AssembleNamed(name, c.Source)
 	if err != nil {
 		return nil, err
+	}
+	if fs := verify.CheckWith(prog, verify.Options{BlockDimX: c.BlockX, BlockDimY: c.BlockY}); fs.Errors() > 0 {
+		return nil, &asm.VerifyError{File: name, Kernel: prog.Name, Findings: fs}
 	}
 	k := &sim.Kernel{
 		Prog:        prog,

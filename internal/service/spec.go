@@ -66,9 +66,9 @@ type JobSpec struct {
 
 	// Policy is the selective-protection policy in warped.ParsePolicy
 	// spelling ("full", "off", "kernel:BFS", "warpsample:1/4",
-	// "activemask:16", "pcrange:0-128"); empty means full protection.
-	// The parsed policy lands in the canonical config, so two jobs that
-	// differ only in policy are distinct cache entries
+	// "activemask:16", "pcset:0-128", "epoch:250/1000"); empty means
+	// full protection. The parsed policy lands in the canonical config,
+	// so two jobs that differ only in policy are distinct cache entries
 	// (docs/POLICIES.md, docs/SERVICE.md).
 	Policy string `json:"policy,omitempty"`
 
@@ -139,8 +139,11 @@ type FaultDef struct {
 // change to job semantics (new field, different default) changes every
 // hash instead of silently aliasing old cached results. v2 added the
 // selective-protection policy to the canonical config; v3 added the
-// pcset policy kind (multi-range, kernel-scoped) to the policy shape.
-const specVersion = 3
+// pcset policy kind (multi-range, kernel-scoped) to the policy shape;
+// v4 moved sampling DMR from two config fields into the epoch policy
+// kind, folded pcrange into pcset, and dropped four config fields the
+// simulator never read.
+const specVersion = 4
 
 // canonicalJob is the fully-resolved form a job is hashed and executed
 // from: presets applied, defaults materialized, random faults drawn,
@@ -296,16 +299,16 @@ func (cs *ConfigSpec) resolve() (arch.Config, error) {
 		return cfg, nil
 	}
 	if cs.DMR != "" {
-		mode, err := parseDMR(cs.DMR)
+		mode, err := arch.ParseDMR(cs.DMR)
 		if err != nil {
-			return cfg, err
+			return cfg, fmt.Errorf("service: %w", err)
 		}
 		cfg.DMR = mode
 	}
 	if cs.Mapping != "" {
-		m, err := parseMapping(cs.Mapping)
+		m, err := arch.ParseMapping(cs.Mapping)
 		if err != nil {
-			return cfg, err
+			return cfg, fmt.Errorf("service: %w", err)
 		}
 		cfg.Mapping = m
 	}
@@ -325,32 +328,6 @@ func (cs *ConfigSpec) resolve() (arch.Config, error) {
 		cfg.IdleDrain = *cs.IdleDrain
 	}
 	return cfg, nil
-}
-
-func parseDMR(s string) (arch.DMRMode, error) {
-	switch strings.ToLower(s) {
-	case "off":
-		return arch.DMROff, nil
-	case "intra":
-		return arch.DMRIntra, nil
-	case "inter":
-		return arch.DMRInter, nil
-	case "full":
-		return arch.DMRFull, nil
-	case "dmtr":
-		return arch.DMRTemporalAll, nil
-	}
-	return 0, fmt.Errorf("service: unknown dmr mode %q (want off, intra, inter, full or dmtr)", s)
-}
-
-func parseMapping(s string) (arch.MappingPolicy, error) {
-	switch strings.ToLower(s) {
-	case "linear":
-		return arch.MapLinear, nil
-	case "rr", "cross", "clusterrr":
-		return arch.MapClusterRR, nil
-	}
-	return 0, fmt.Errorf("service: unknown mapping %q (want linear or rr)", s)
 }
 
 func parseUnit(s string) (isa.UnitClass, error) {

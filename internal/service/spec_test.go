@@ -121,7 +121,7 @@ func TestHashSourceGeometryDefaults(t *testing.T) {
 // you changed the job schema, a default, or the canonical encoding:
 // bump specVersion so old cached results cannot be aliased, and repin.
 func TestCanonicalHashGolden(t *testing.T) {
-	const want = "b38956ceac1a8fa3ee61190a71eb3acfa41e30611f32a17fed92e1c4a7c1d8e1"
+	const want = "461d070e61e1a9d8c9e528bb18f3587bd1c49be3e2aa5c054c733334220a9d30"
 	if got := mustHash(t, &JobSpec{Benchmark: "MatrixMul"}); got != want {
 		t.Errorf("canonical hash of {benchmark: MatrixMul} = %s, want %s", got, want)
 	}

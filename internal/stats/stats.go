@@ -175,8 +175,8 @@ type Stats struct {
 
 	// Selective-protection accounting (docs/POLICIES.md). Skipped
 	// instructions remain in EligibleTI, so Coverage() reflects the
-	// policy's choices; with no sampling DMR configured,
-	// ProtectedTI + SkippedTI == EligibleTI.
+	// policy's choices; ProtectedTI + SkippedTI == EligibleTI under
+	// every policy.
 	ProtectedTI int64 // thread-instructions the protection policy admitted
 	SkippedTI   int64 // thread-instructions the protection policy skipped
 

@@ -87,13 +87,14 @@ const (
 	PolicyPerKernel  = arch.PolicyPerKernel
 	PolicyWarpSample = arch.PolicyWarpSample
 	PolicyActiveMask = arch.PolicyActiveMask
-	PolicyPCRange    = arch.PolicyPCRange
 	PolicyPCSet      = arch.PolicyPCSet
+	PolicyEpoch      = arch.PolicyEpoch
 )
 
 // ParsePolicy parses the protection-policy spelling the CLIs and the
 // warpd job spec use (full, off, kernel:NAME[,..], warpsample:1/N,
-// activemask:MIN, pcrange:LO-HI). See docs/POLICIES.md.
+// activemask:MIN, pcset:LO-HI[,..], epoch:ON/PERIOD). See
+// docs/POLICIES.md.
 func ParsePolicy(s string) (Policy, error) { return arch.ParsePolicy(s) }
 
 // PaperConfig returns the baseline machine of the paper's Table 3
@@ -449,7 +450,8 @@ func EstimatePower(cfg Config, st *Stats) PowerReport {
 // Experiment results, re-exported for programmatic use; each has a
 // Table() renderer. See cmd/experiments for the CLI that prints them.
 type (
-	// Engine runs the figure harnesses on a worker pool; its Workers
+	// Engine runs the figure harnesses on a worker pool: one method per
+	// figure or extension, e.g. (&Engine{}).Fig9a(ctx). Its Workers
 	// field plays the same role as Runner.Parallel. The zero value runs
 	// with GOMAXPROCS workers.
 	Engine = experiments.Engine
@@ -471,21 +473,4 @@ type (
 	ParetoSpec   = experiments.ParetoSpec
 	ParetoPoint  = experiments.ParetoPoint
 	ParetoResult = experiments.ParetoResult
-)
-
-// The Run* functions regenerate the paper's figures.
-var (
-	RunFig1             = experiments.RunFig1
-	RunFig5             = experiments.RunFig5
-	RunFig8a            = experiments.RunFig8a
-	RunFig8b            = experiments.RunFig8b
-	RunFig9a            = experiments.RunFig9a
-	RunFig9b            = experiments.RunFig9b
-	RunFig10            = experiments.RunFig10
-	RunFig11            = experiments.RunFig11
-	RunCampaign         = experiments.RunCampaign
-	RunPareto           = experiments.RunPareto
-	RunSampling         = experiments.RunSampling
-	RunSchedulerStudy   = experiments.RunSchedulerStudy
-	RunDetectionLatency = experiments.RunDetectionLatency
 )
