@@ -175,8 +175,8 @@ type Stats struct {
 
 	// Selective-protection accounting (docs/POLICIES.md). Skipped
 	// instructions remain in EligibleTI, so Coverage() reflects the
-	// policy's choices; ProtectedTI + SkippedTI == EligibleTI under
-	// every policy.
+	// policy's choices. sim's checkSM fails a launch whose SMs break
+	// this or another accounting invariant.
 	ProtectedTI int64 // thread-instructions the protection policy admitted
 	SkippedTI   int64 // thread-instructions the protection policy skipped
 
