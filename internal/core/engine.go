@@ -114,7 +114,13 @@ type dmrTally struct {
 }
 
 // NewEngine builds the DMR engine for SM smID. st must not be nil;
-// perturb and onError may be nil.
+// onError may be nil.
+//
+// perturb is nil when no fault can reach the SM. The caller then
+// promises that the original executions ran unperturbed as well, so
+// every redundant execution would reproduce the recorded result: the
+// engine counts such replays (every Stats field and metric) without
+// recomputing or comparing them.
 func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, onError func(ErrorEvent)) *Engine {
 	e := &Engine{
 		cfg:     cfg,
@@ -207,6 +213,10 @@ func (e *Engine) noteQueueDepth() {
 
 // QueueLen returns the current ReplayQ occupancy.
 func (e *Engine) QueueLen() int { return len(e.q) }
+
+// Quiet reports whether the engine holds no pending instruction and no
+// ReplayQ entry, so an idle cycle would do nothing.
+func (e *Engine) Quiet() bool { return !e.hasPending && len(e.q) == 0 }
 
 // QueueSizeBytes returns the ReplayQ storage in bytes for the
 // configured entry count (paper: 10 entries ~ 5 KB, 4% of a 128 KB RF).
@@ -482,16 +492,15 @@ func (e *Engine) intraWarp(info IssueInfo) {
 	}
 	for _, p := range pairs {
 		e.tally.clusterPairings[p.Active/e.cfg.ClusterSize]++
+		if e.perturb == nil {
+			continue // no fault reaches this SM: the copy matches (see NewEngine)
+		}
 		thread := int(e.threadFor[p.Active])
 		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
 		if !ok {
 			continue
 		}
-		red := golden
-		if e.perturb != nil {
-			red = e.perturb(p.Idle, rec.Unit, golden)
-		}
-		if red != rec.Vals[thread] {
+		if red := e.perturb(p.Idle, rec.Unit, golden); red != rec.Vals[thread] {
 			e.st.FaultsDetected++
 			e.tally.detectLatency.Observe(0) // spatial DMR verifies in the issue cycle
 			if e.onError != nil {
@@ -536,15 +545,14 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 			verif = base + (orig-base+rot)&cmask
 		}
 		e.tally.laneReplays[verif]++
+		if e.perturb == nil {
+			continue // no fault reaches this SM: the replay matches (see NewEngine)
+		}
 		golden, ok := rec.Recompute(rec.SrcVals[0][thread], rec.SrcVals[1][thread], rec.SrcVals[2][thread])
 		if !ok {
 			continue
 		}
-		red := golden
-		if e.perturb != nil {
-			red = e.perturb(verif, rec.Unit, golden)
-		}
-		if red != rec.Vals[thread] {
+		if red := e.perturb(verif, rec.Unit, golden); red != rec.Vals[thread] {
 			e.st.FaultsDetected++
 			e.tally.detectLatency.Observe(at - info.Cycle)
 			if e.onError != nil {

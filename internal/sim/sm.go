@@ -28,8 +28,10 @@ import (
 //
 // CanFire reports whether the hook can ever change a value on SM smID.
 // The simulator asks once per SM per launch and wires no fault hook
-// into SMs that answer false, so their lanes run at fault-free speed. A
-// hook that answers false for an SM must leave every value on that SM
+// into SMs that answer false, so their lanes run at fault-free speed:
+// the SM's DMR engine counts its replays without recomputing or
+// comparing them, because an unperturbed replay always matches. A hook
+// that answers false for an SM must leave every value on that SM
 // untouched and keep no state about it.
 type FaultHook interface {
 	Perturb(smID int, cycle int64, physLane int, unit isa.UnitClass, golden uint32) (uint32, bool)
@@ -502,6 +504,14 @@ func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 		lat += int64(rec.Executing.Count())
 	}
 	return lat, occ
+}
+
+// quiet reports whether the SM has nothing to do this cycle: no
+// resident warp, no outstanding stall, no error and no DMR replay
+// pending or queued. The launch loop skips a quiet SM and counts its
+// idle issue slot, which is all tick would do.
+func (s *sm) quiet() bool {
+	return len(s.warps) == 0 && s.stall == 0 && s.err == nil && s.engine.Quiet()
 }
 
 // tick advances the SM by one cycle. Returns true if any work remains.
