@@ -256,9 +256,11 @@ func cutInt(s, sep string) (a, b int, ok bool) {
 }
 
 // Normalized returns the canonical form of the policy: parameters of
-// other kinds zeroed, kernel lists sorted and deduplicated. Content
-// hashing and equality checks must go through it — two spellings of
-// the same policy normalize identically.
+// other kinds zeroed, kernel lists sorted and deduplicated, and every
+// spelling that protects everything whatever the kernel
+// (warpsample:1/1, activemask:1, epoch:N/N) made full. Content hashing
+// and equality checks must go through it — two spellings of the same
+// policy normalize identically.
 func (p Policy) Normalized() Policy {
 	out := Policy{Kind: p.Kind}
 	switch p.Kind {
@@ -270,16 +272,25 @@ func (p Policy) Normalized() Policy {
 		ks = slicesCompact(ks)
 		out.Kernels, out.Exclude = ks, p.Exclude
 	case PolicyWarpSample:
+		if p.SampleN == 1 {
+			return Policy{}
+		}
 		out.SampleN = p.SampleN
 		if out.SampleN > 0 {
 			out.SamplePhase = ((p.SamplePhase % out.SampleN) + out.SampleN) % out.SampleN
 		}
 	case PolicyActiveMask:
+		if p.MinActive == 1 {
+			return Policy{}
+		}
 		out.MinActive = p.MinActive
 	case PolicyPCSet:
 		out.PCKernel = p.PCKernel
 		out.PCRanges = mergeRanges(p.PCRanges)
 	case PolicyEpoch:
+		if p.EpochOn == p.EpochPeriod && p.EpochPeriod >= 1 {
+			return Policy{}
+		}
 		out.EpochOn, out.EpochPeriod = p.EpochOn, p.EpochPeriod
 	}
 	return out

@@ -50,6 +50,12 @@ func TestParsePolicyAliases(t *testing.T) {
 		{"pcset:5-6,0-2,4-4", "pcset:0-2,4-6"},      // sorted, adjacent merged
 		{"pcset:0-8,3-5,6-12", "pcset:0-12"},        // overlaps coalesced
 		{"pcset: K @ 1-2 , 4-5", "pcset:K@1-2,4-5"}, // whitespace trimmed
+		// Full protection whatever the kernel: one canonical form.
+		{"warpsample:1/1", "full"},
+		{"warpsample:1/1+3", "full"},
+		{"activemask:1", "full"},
+		{"epoch:1000/1000", "full"},
+		{"epoch:1/1", "full"},
 	}
 	for _, c := range cases {
 		a, err := ParsePolicy(c[0])

@@ -140,6 +140,14 @@ func TestHashPolicyNormalization(t *testing.T) {
 	if other == canonical {
 		t.Error("warpsample:1/4 collides with warpsample:1/2")
 	}
+	// Every spelling of full protection that does not depend on the
+	// kernel is one job: the policy-free one TestCanonicalHashGolden pins.
+	none := mustHash(t, &JobSpec{Benchmark: "MatrixMul"})
+	for _, full := range []string{"full", "warpsample:1/1", "activemask:1", "epoch:1000/1000"} {
+		if got := mustHash(t, &JobSpec{Benchmark: "MatrixMul", Policy: full}); got != none {
+			t.Errorf("policy %s hashed %s, want the policy-free hash %s", full, got, none)
+		}
+	}
 }
 
 // TestCanonicalizeRejects: malformed specs fail loudly at admission.
