@@ -198,9 +198,11 @@ func emitMetrics(reg *warped.Metrics, print bool, out string) error {
 	return nil
 }
 
-// runCustom assembles and launches a user-provided kernel file. With
-// lint enabled, error-severity verifier findings abort the launch and
-// warnings print to stderr; -lint=off skips verification entirely.
+// runCustom assembles a user-provided kernel file and runs it as a
+// one-launch workload through kernels.Attempt, so a launch failure
+// names the file. With lint enabled, error-severity verifier findings
+// abort the run and warnings print to stderr; -lint=off skips
+// verification entirely.
 func runCustom(ctx context.Context, cfg warped.Config, path, grid, block string, shared int, paramList, traceOut, traceFmt string, lint bool, reg *warped.Metrics) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -240,10 +242,6 @@ func runCustom(ctx context.Context, cfg warped.Config, path, grid, block string,
 			words = append(words, uint32(v))
 		}
 	}
-	gpu, err := warped.NewGPU(cfg)
-	if err != nil {
-		return err
-	}
 	opts := warped.LaunchOpts{Metrics: reg}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -262,15 +260,9 @@ func runCustom(ctx context.Context, cfg warped.Config, path, grid, block string,
 			}
 		}()
 	}
-	if prog.SharedBytes > shared {
-		shared = prog.SharedBytes // honour the kernel's .shared directive
-	}
-	st, err := gpu.LaunchContext(ctx, &warped.Kernel{
-		Prog:  prog,
-		GridX: gx, GridY: gy, BlockX: bx, BlockY: by,
-		SharedBytes: shared,
-		Params:      warped.NewParams(words...),
-	}, opts)
+	b := kernels.Inline(path, prog, warped.Kernel{GridX: gx, GridY: gy, BlockX: bx, BlockY: by,
+		SharedBytes: shared, Params: warped.NewParams(words...)})
+	st, _, err := kernels.Attempt(ctx, cfg, b, opts, false)
 	if err != nil {
 		return err
 	}

@@ -348,6 +348,12 @@ func (p Policy) Validate() error {
 		if len(p.Kernels) == 0 {
 			return fmt.Errorf("arch: kernel policy needs at least one kernel name")
 		}
+		for _, k := range p.Kernels {
+			// A leading '!' would print as the exclusion marker.
+			if strings.HasPrefix(k, "!") {
+				return fmt.Errorf("arch: kernel policy name %q starts with '!'; only the list may be negated", k)
+			}
+		}
 		return nil
 	case PolicyWarpSample:
 		if p.SampleN < 1 {

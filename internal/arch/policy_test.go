@@ -81,6 +81,8 @@ func TestParsePolicyRejects(t *testing.T) {
 		"off:arg",
 		"kernel:",
 		"kernel:!",
+		"kernel:a,!b",
+		"kernel:0,0,!",
 		"warpsample:0",
 		"warpsample:1/0",
 		"warpsample:x",

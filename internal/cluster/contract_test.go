@@ -44,7 +44,7 @@ func (e *heldExecutor) run(spec *service.JobSpec) (*service.JobResult, error) {
 	}
 	e.worker.Wait(resp.ID)
 	if r, _ := e.worker.Result(resp.ID); r != nil {
-		return &service.JobResult{Stats: r.Stats, Attempts: r.Attempts, Recovered: r.Recovered, Detections: r.Detections}, nil
+		return &r.JobResult, nil
 	}
 	st, _ := e.worker.Status(resp.ID)
 	return nil, errors.New(st.Error)

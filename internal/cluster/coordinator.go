@@ -302,8 +302,7 @@ func (re *ringExecutor) attempt(ctx context.Context, worker string, spec *servic
 	if err != nil {
 		return classify(worker, err)
 	}
-	return attemptOutcome{worker: worker, res: &service.JobResult{Stats: res.Stats,
-		Attempts: res.Attempts, Recovered: res.Recovered, Detections: res.Detections}}
+	return attemptOutcome{worker: worker, res: &res.JobResult}
 }
 
 // classify sorts a worker error into the hedging policy's buckets:

@@ -3,6 +3,7 @@ package kernels
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,24 +86,24 @@ func TestRetry(t *testing.T) {
 		}
 	}
 
-	if st, n, err := Retry(ctx, 3, "w", seq(detected, crash, clean)); st != clean || n != 3 || err != nil {
+	if st, n, err := retry(ctx, 3, "w", seq(detected, crash, clean)); st != clean || n != 3 || err != nil {
 		t.Errorf("recovering job = %v, %d, %v; want the clean stats after 3 attempts", st, n, err)
 	}
-	if st, n, err := Retry(ctx, 1, "w", seq(detected)); st != detected || n != 1 || err != nil {
+	if st, n, err := retry(ctx, 1, "w", seq(detected)); st != detected || n != 1 || err != nil {
 		t.Errorf("single attempt with detections = %v, %d, %v; want its stats", st, n, err)
 	}
-	if _, _, err := Retry(ctx, 0, "w", seq(crash)); err != crash {
+	if _, _, err := retry(ctx, 0, "w", seq(crash)); err != crash {
 		t.Errorf("single crashing attempt = %v, want its own error", err)
 	}
 	want := "warped: BFS still failing after 2 attempts: fault appears permanent"
-	if _, _, err := Retry(ctx, 2, "warped: BFS", seq(detected, crash)); err == nil || err.Error() != want {
+	if _, _, err := retry(ctx, 2, "warped: BFS", seq(detected, crash)); err == nil || err.Error() != want {
 		t.Errorf("permanent fault = %v, want %q", err, want)
 	}
 
 	// Cancelled mid-attempt: the attempt's error, no retry.
 	mid, stop := context.WithCancel(ctx)
 	attempts := 0
-	_, n, err := Retry(mid, 3, "w", func() (*stats.Stats, error) {
+	_, n, err := retry(mid, 3, "w", func() (*stats.Stats, error) {
 		attempts++
 		stop()
 		return nil, crash
@@ -113,11 +114,70 @@ func TestRetry(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, _, err = Retry(cancelled, 2, "service: job j1", func() (*stats.Stats, error) {
+	_, _, err = retry(cancelled, 2, "service: job j1", func() (*stats.Stats, error) {
 		t.Error("attempt ran under a cancelled context")
 		return clean, nil
 	})
 	if err == nil || !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "service: job j1: ") {
 		t.Errorf("cancelled = %v, want a service: job j1: prefixed context.Canceled", err)
+	}
+}
+
+// TestInline pins the one-launch workload an assembled kernel becomes:
+// the kernel's geometry and params, shared memory raised to the
+// program's .shared directive, no check, a fresh Kernel per Build so
+// that the Params one launch fills in never reach the next attempt,
+// and launch errors named after the workload.
+func TestInline(t *testing.T) {
+	ctx := context.Background()
+	cfg := arch.PaperConfig()
+	prog, err := asm.Assemble(".kernel tiny\n.shared 256\n\tmov r0, %tid.x\n\tiadd r1, r0, 1\n\texit\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(b *Benchmark) *Run {
+		t.Helper()
+		run, err := b.Build(nil)
+		if err != nil || len(run.Steps) != 1 || run.Check != nil {
+			t.Fatalf("Build = %+v, %v; want one step and no check", run, err)
+		}
+		return run
+	}
+
+	for _, shared := range []int{0, 512} {
+		k := build(Inline("tiny.asm", prog, sim.Kernel{GridX: 2, GridY: 1, BlockX: 64, BlockY: 1, SharedBytes: shared})).Steps[0].Kernel
+		if want := max(shared, 256); k.Prog != prog || k.GridX != 2 || k.BlockX != 64 || k.SharedBytes != want {
+			t.Errorf("shared %d: kernel = %+v, want tiny at 2x1 of 64x1 with %d shared bytes", shared, k, want)
+		}
+	}
+
+	b := Inline("tiny.asm", prog, sim.Kernel{GridX: 2, GridY: 1, BlockX: 64, BlockY: 1})
+	first := build(b)
+	g, err := sim.New(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.LaunchContext(ctx, first.Steps[0].Kernel, sim.LaunchOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if first.Steps[0].Kernel.Params == nil {
+		t.Fatal("the launch did not fill in Params; this test no longer shows sharing")
+	}
+	if second := build(b).Steps[0].Kernel; second == first.Steps[0].Kernel || second.Params != nil {
+		t.Errorf("second Build shares the launched kernel: %p %+v", second, second)
+	}
+	one, _, err := Attempt(ctx, cfg, b, sim.LaunchOpts{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, _, err := Attempt(ctx, cfg, b, sim.LaunchOpts{}, true)
+	if err != nil || !reflect.DeepEqual(one, two) {
+		t.Errorf("second attempt = %+v, %v; want the first attempt's stats %+v", two, err, one)
+	}
+
+	wide := Inline("tiny.asm", prog, sim.Kernel{GridX: 1, GridY: 1, BlockX: 4096, BlockY: 1})
+	want := "tiny.asm: launch 0: sim: block of 4096 threads exceeds SM capacity 1024"
+	if _, _, err := Attempt(ctx, cfg, wide, sim.LaunchOpts{}, true); err == nil || err.Error() != want {
+		t.Errorf("oversized launch = %v, want %q", err, want)
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"sort"
 
 	"warped/internal/arch"
+	"warped/internal/core"
+	"warped/internal/isa"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -94,15 +96,58 @@ func Attempt(ctx context.Context, cfg arch.Config, b *Benchmark, opts sim.Launch
 	return total, run, nil
 }
 
-// Retry makes up to n attempts at a job: the paper's §3.1 handling
+// Outcome is the result of one job: the statistics of its accepted
+// attempt plus the retry bookkeeping. warped.Runner.Run builds its
+// Result from it, and warpd stores and serves it as a job's result.
+type Outcome struct {
+	Stats *stats.Stats `json:"stats"`
+
+	// Attempts is the number of workload executions behind this result:
+	// 1 unless the retry budget re-ran the workload after a detection.
+	Attempts int `json:"attempts"`
+
+	// Recovered reports that at least one attempt was discarded after a
+	// comparator detection (or crash) and a later attempt ran clean.
+	Recovered bool `json:"recovered"`
+
+	// Detections counts comparator mismatches across all attempts.
+	Detections int `json:"detections"`
+}
+
+// RunJob runs b as one job: at most attempts calls of Attempt under
+// the retry loop, counting every comparator detection before the
+// caller's opts.OnError sees it. The library and warpd both run their
+// jobs through it, so a job answers the same wherever it executes. who
+// prefixes the retry loop's own errors, e.g. "warped: BFS".
+func RunJob(ctx context.Context, cfg arch.Config, b *Benchmark, opts sim.LaunchOpts, attempts int, validate bool, who string) (*Outcome, error) {
+	out := &Outcome{}
+	onError := opts.OnError
+	opts.OnError = func(ev core.ErrorEvent) {
+		out.Detections++
+		if onError != nil {
+			onError(ev)
+		}
+	}
+	st, n, err := retry(ctx, attempts, who, func() (*stats.Stats, error) {
+		st, _, err := Attempt(ctx, cfg, b, opts, validate)
+		return st, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Stats, out.Attempts, out.Recovered = st, n, n > 1
+	return out, nil
+}
+
+// retry makes up to n attempts at a job: the paper's §3.1 handling
 // sketch, re-executing the whole workload from its inputs when a DMR
 // comparator flags a mismatch or the corrupted run crashes. It returns
 // the statistics of the first clean attempt and the number of attempts
 // made. With n <= 1 there is no retry budget: the one attempt's error
 // is returned as is, and a completed run is returned even when it
 // detected mismatches. Cancellation is never retried. who prefixes
-// Retry's own errors, e.g. "warped: BFS".
-func Retry(ctx context.Context, n int, who string, attempt func() (*stats.Stats, error)) (*stats.Stats, int, error) {
+// retry's own errors.
+func retry(ctx context.Context, n int, who string, attempt func() (*stats.Stats, error)) (*stats.Stats, int, error) {
 	n = max(n, 1)
 	for i := 1; i <= n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -118,6 +163,20 @@ func Retry(ctx context.Context, n int, who string, attempt func() (*stats.Stats,
 		// Detected (or crashed) with retries left: discard the attempt.
 	}
 	return nil, n, fmt.Errorf("%s still failing after %d attempts: fault appears permanent", who, n)
+}
+
+// Inline wraps an assembled kernel as a one-launch workload named name:
+// k's geometry and params, its shared memory raised to the program's
+// .shared directive, and no host-reference check. Each Build launches
+// a fresh copy of k, because a launch fills in a nil Params. Verifying
+// prog stays with the caller.
+func Inline(name string, prog *isa.Program, k sim.Kernel) *Benchmark {
+	k.Prog = prog
+	k.SharedBytes = max(k.SharedBytes, prog.SharedBytes)
+	return &Benchmark{Name: name, Build: func(*sim.GPU) (*Run, error) {
+		k := k
+		return &Run{Steps: []Step{{Kernel: &k}}}, nil
+	}}
 }
 
 var registry []*Benchmark

@@ -43,12 +43,6 @@ type Options struct {
 	// completion — not necessarily in submission order of the tasks.
 	OnProgress func(done, total int)
 
-	// ContinueOnError keeps the remaining tasks running after a failure
-	// instead of cancelling them. Map still reports the first error by
-	// submission index; the per-task results of successful tasks are
-	// valid either way.
-	ContinueOnError bool
-
 	// Metrics, when non-nil, receives pool telemetry: task lifecycle
 	// counters, the workers-busy gauge (whose high-water mark is the peak
 	// pool utilization), and a wall-clock task-latency histogram. Latency
@@ -88,10 +82,9 @@ func (e *PanicError) Error() string {
 //
 // On failure Map returns the partial results alongside the error of the
 // lowest-index genuinely-failed task (cancellation fallout of
-// later-scheduled tasks does not mask the root cause). Unless
-// opt.ContinueOnError is set, the first failure cancels the remaining
-// tasks. If ctx is cancelled, Map returns an error satisfying
-// errors.Is(err, ctx.Err()).
+// later-scheduled tasks does not mask the root cause). The first
+// failure cancels the remaining tasks. If ctx is cancelled, Map
+// returns an error satisfying errors.Is(err, ctx.Err()).
 //
 // fn must not retain or share mutable state across indices; each
 // invocation may run on any worker goroutine.
@@ -140,7 +133,7 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 						met.TaskPanics.Inc()
 					}
 				}
-				if errs[i] != nil && !opt.ContinueOnError {
+				if errs[i] != nil {
 					cancel()
 				}
 				if opt.OnProgress != nil {
@@ -192,12 +185,4 @@ func runOne[T any](ctx context.Context, i int, fn func(ctx context.Context, i in
 	}
 	*out = v
 	return nil
-}
-
-// Each is Map for tasks that produce no value.
-func Each(ctx context.Context, opt Options, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, opt, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

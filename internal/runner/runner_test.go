@@ -56,15 +56,24 @@ func TestMapPanicIsolation(t *testing.T) {
 }
 
 // TestMapFirstErrorByIndex: with several failures, the reported error
-// is the lowest-index one regardless of completion order.
+// is the lowest-index one regardless of completion order. Task 7 fails
+// first, while task 2 is still running.
 func TestMapFirstErrorByIndex(t *testing.T) {
 	wantErr := errors.New("task failed")
-	_, err := Map(context.Background(), Options{Workers: 4, ContinueOnError: true}, 10,
+	started, failed := make(chan struct{}), make(chan struct{})
+	_, err := Map(context.Background(), Options{Workers: 4}, 10,
 		func(_ context.Context, i int) (int, error) {
-			if i == 2 || i == 7 {
-				return 0, fmt.Errorf("%w: %d", wantErr, i)
+			switch i {
+			case 2:
+				close(started)
+				<-failed
+			case 7:
+				<-started
+				close(failed)
+			default:
+				return i, nil
 			}
-			return i, nil
+			return 0, fmt.Errorf("%w: %d", wantErr, i)
 		})
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrap of %v", err, wantErr)
@@ -119,8 +128,8 @@ func TestMapCancellation(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestMapStopsAfterFailure: without ContinueOnError the first failure
-// cancels the rest of the grid.
+// TestMapStopsAfterFailure: the first failure cancels the rest of the
+// grid.
 func TestMapStopsAfterFailure(t *testing.T) {
 	var ran atomic.Int64
 	_, err := Map(context.Background(), Options{Workers: 1}, 100, func(ctx context.Context, i int) (int, error) {
@@ -176,19 +185,5 @@ func TestMapZeroTasks(t *testing.T) {
 	})
 	if err != nil || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, nil)", res, err)
-	}
-}
-
-// TestEach: the no-result convenience wrapper propagates errors.
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(context.Background(), Options{Workers: 3}, 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
 	}
 }

@@ -13,9 +13,13 @@ import (
 
 	"warped"
 	"warped/client"
+	"warped/internal/asm"
 	"warped/internal/fault"
+	"warped/internal/kernels"
+	"warped/internal/mem"
 	"warped/internal/metrics"
 	"warped/internal/service"
+	"warped/internal/sim"
 )
 
 // tinySrc is a near-instant inline kernel for coalescing/drain tests.
@@ -38,9 +42,8 @@ func newTestDaemon(t *testing.T, opt service.Options) (*service.Server, *client.
 
 // TestE2ECoalescingAndCache is the tentpole end-to-end check: N
 // concurrent identical submissions execute the simulation exactly
-// once, a later resubmission is answered from the cache, and the
-// daemon's stats are byte-identical to a direct library run of the
-// same canonical inputs.
+// once, and a later resubmission is answered from the cache.
+// TestE2EStatsMatchDirectRun compares answers with direct runs.
 func TestE2ECoalescingAndCache(t *testing.T) {
 	reg := metrics.New()
 	_, c, _ := newTestDaemon(t, service.Options{Workers: 2, QueueDepth: 16, Metrics: reg})
@@ -96,12 +99,13 @@ func TestE2ECoalescingAndCache(t *testing.T) {
 	}
 }
 
-// TestE2EStatsMatchDirectRun: the daemon's answer for a benchmark job
-// must be byte-identical to what warped.Runner produces for the same
-// canonical inputs — caching must never change the science. That holds
-// for every kind of answer: a clean run, a run recovered by the retry
-// budget (stats and bookkeeping), and a crash (the error text, which
-// names the device-memory size a corrupted address ran off).
+// TestE2EStatsMatchDirectRun: the daemon's answer must be
+// byte-identical to a direct run of the same canonical inputs — caching
+// must never change the science. A benchmark job is compared with
+// warped.Runner, an inline job with a library caller's own launch. That
+// holds for every kind of answer: a clean run, a run recovered by the
+// retry budget (stats and bookkeeping), and a crash (the error text,
+// which names the device-memory size a corrupted address ran off).
 func TestE2EStatsMatchDirectRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark runs")
@@ -123,27 +127,13 @@ func TestE2EStatsMatchDirectRun(t *testing.T) {
 		{"crash/SCAN", stuckAt("SCAN", 3), true},
 		{"crash/MatrixMul", stuckAt("MatrixMul", 3), true},
 		{"crash/CUFFT", stuckAt("CUFFT", 3), true},
+		{"inline/scan_block", &client.JobSpec{Source: bundledSource(t, "scan_block"), GridX: 4, BlockX: 128,
+			Params: []uint32{0x10000, 0x20000, 0x30000, 256}}, false},
+		{"inline/crash", &client.JobSpec{Source: wildSrc, Params: []uint32{0x7ffffff0}}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			canon, err := tc.spec.Canonicalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := []warped.RunOption{warped.WithConfig(canon.Config), warped.WithRetry(canon.Attempts)}
-			if len(canon.Faults) > 0 {
-				fs := make([]*fault.Fault, len(canon.Faults))
-				for i, fd := range canon.Faults {
-					if fs[i], err = service.ToFault(fd); err != nil {
-						t.Fatal(err)
-					}
-				}
-				opts = append(opts, warped.WithFaults(fault.NewInjector(fs...), nil))
-			}
-			if canon.StopOnError {
-				opts = append(opts, warped.WithStopOnError())
-			}
-			direct, derr := (&warped.Runner{}).Run(ctx, canon.Benchmark, opts...)
+			direct, derr := directRun(ctx, t, tc.spec)
 			if (derr != nil) != tc.crash {
 				t.Fatalf("direct Run error = %v, want crash %v", derr, tc.crash)
 			}
@@ -179,6 +169,69 @@ func TestE2EStatsMatchDirectRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// directRun runs spec's canonical inputs without the service: a
+// benchmark through warped.Runner, an inline kernel the way a library
+// caller launches one (asm.AssembleNamed, a fresh default-size GPU,
+// sim.GPU.LaunchContext).
+func directRun(ctx context.Context, t *testing.T, spec *client.JobSpec) (*service.JobResult, error) {
+	t.Helper()
+	canon, err := spec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon.Source != "" {
+		_, id, err := service.SpecKey(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := asm.AssembleNamed("job:"+id, canon.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := sim.New(canon.Config, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := g.LaunchContext(ctx, &sim.Kernel{Prog: prog, GridX: canon.GridX, GridY: canon.GridY,
+			BlockX: canon.BlockX, BlockY: canon.BlockY, SharedBytes: max(canon.SharedBytes, prog.SharedBytes),
+			Params: mem.NewParams(canon.Params...)}, sim.LaunchOpts{StopOnError: canon.StopOnError})
+		if err != nil {
+			return nil, err
+		}
+		return &service.JobResult{Stats: st, Attempts: 1}, nil
+	}
+	opts := []warped.RunOption{warped.WithConfig(canon.Config), warped.WithRetry(canon.Attempts)}
+	if len(canon.Faults) > 0 {
+		fs := make([]*fault.Fault, len(canon.Faults))
+		for i, fd := range canon.Faults {
+			if fs[i], err = service.ToFault(fd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts = append(opts, warped.WithFaults(fault.NewInjector(fs...), nil))
+	}
+	if canon.StopOnError {
+		opts = append(opts, warped.WithStopOnError())
+	}
+	r, err := (&warped.Runner{}).Run(ctx, canon.Benchmark, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &service.JobResult{Stats: r.Stats, Attempts: r.Attempts, Recovered: r.Recovered, Detections: r.Detections}, nil
+}
+
+// bundledSource returns the assembly of the named bundled kernel.
+func bundledSource(t *testing.T, name string) string {
+	t.Helper()
+	for _, s := range kernels.Sources() {
+		if s.Name == name {
+			return s.Src
+		}
+	}
+	t.Fatalf("no bundled kernel %q", name)
+	return ""
 }
 
 // TestE2EGracefulDrain: SIGTERM semantics — admission stops (503,
@@ -292,41 +345,36 @@ func TestE2EErrors(t *testing.T) {
 		t.Errorf("unknown Result = %v, want 404", err)
 	}
 
-	// A failing job (bad assembly) reports failed status with the
-	// job-addressed assembler error.
-	resp, err := c.Submit(ctx, &client.JobSpec{Source: ".kernel bad\n\tbogus r0\n"})
-	if err != nil {
-		t.Fatalf("Submit bad source: %v", err)
-	}
-	if _, err := c.Wait(ctx, resp.ID); err == nil {
-		t.Fatal("Wait on a failing job returned no error")
-	}
-	st, err := c.Status(ctx, resp.ID)
-	if err != nil {
-		t.Fatalf("Status: %v", err)
-	}
-	if st.Status != "failed" || st.Error == "" {
-		t.Errorf("failed job status = %+v", st)
-	}
-	if want := "job:" + resp.ID; !contains(st.Error, want) {
-		t.Errorf("assembler error %q does not cite %q", st.Error, want)
-	}
-
-	// A kernel whose shared-memory accesses race only across warps is
-	// verified at the job's launch geometry: at 64 threads it fails,
-	// citing the job and the verifier rule.
-	resp, err = c.Submit(ctx, &client.JobSpec{Source: racySrc, BlockX: 64})
-	if err != nil {
-		t.Fatalf("Submit racy source: %v", err)
-	}
-	if _, err := c.Wait(ctx, resp.ID); err == nil {
-		t.Fatal("Wait on a kernel racing at its launch geometry returned no error")
-	}
-	if st, err = c.Status(ctx, resp.ID); err != nil {
-		t.Fatalf("Status: %v", err)
-	}
-	if st.Status != "failed" || !contains(st.Error, "job:"+resp.ID) || !contains(st.Error, "shared-race") {
-		t.Errorf("racy job status = %+v, want failed citing job:%s and shared-race", st, resp.ID)
+	// A failing inline job reports failed status citing the job and its
+	// cause, whatever the retry budget: the kernel is assembled and
+	// verified once, before any attempt, so a retry never turns the
+	// diagnostic into a permanent-fault answer. A kernel whose
+	// shared-memory accesses race only across warps is verified at the
+	// job's launch geometry: at 64 threads it fails the verifier rule.
+	for _, tc := range []struct {
+		name  string
+		spec  *client.JobSpec
+		cause string
+	}{
+		{"bad assembly", &client.JobSpec{Source: badSrc}, `line 2: unknown mnemonic "bogus"`},
+		{"bad assembly/retry 3", &client.JobSpec{Source: badSrc, Retry: 3}, `line 2: unknown mnemonic "bogus"`},
+		{"racy", &client.JobSpec{Source: racySrc, BlockX: 64}, "shared-race"},
+		{"racy/retry 3", &client.JobSpec{Source: racySrc, BlockX: 64, Retry: 3}, "shared-race"},
+	} {
+		resp, err := c.Submit(ctx, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", tc.name, err)
+		}
+		if _, err := c.Wait(ctx, resp.ID); err == nil {
+			t.Fatalf("%s: Wait on a failing job returned no error", tc.name)
+		}
+		st, err := c.Status(ctx, resp.ID)
+		if err != nil {
+			t.Fatalf("%s: Status: %v", tc.name, err)
+		}
+		if st.Status != "failed" || !contains(st.Error, "job:"+resp.ID) || !contains(st.Error, tc.cause) {
+			t.Errorf("%s: status = %+v, want failed citing job:%s and %q", tc.name, st, resp.ID, tc.cause)
+		}
 	}
 
 	// Unknown POST body fields are rejected.
@@ -360,6 +408,18 @@ func TestE2EBenchmarksEndpoint(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// badSrc fails to assemble on its second line.
+const badSrc = ".kernel bad\n\tbogus r0\n"
+
+// wildSrc loads from the address in its first parameter, so a large
+// one runs off the end of device memory.
+const wildSrc = `.kernel wild
+.reg 4
+ld.param r0, [0]
+ld.global r1, [r0]
+exit
+`
 
 // racySrc stores to word tid and loads word tid+1 with no barrier
 // between: a race between the last thread of one warp and the first of

@@ -14,7 +14,6 @@ import (
 	"warped/internal/kernels"
 	"warped/internal/metrics"
 	"warped/internal/runner"
-	"warped/internal/stats"
 	"warped/internal/store"
 )
 
@@ -253,11 +252,8 @@ type StatusResponse struct {
 
 // ResultResponse answers GET /v1/jobs/{id}/result for a done job.
 type ResultResponse struct {
-	ID         string       `json:"id"`
-	Stats      *stats.Stats `json:"stats"`
-	Attempts   int          `json:"attempts"`
-	Recovered  bool         `json:"recovered"`
-	Detections int          `json:"detections"`
+	ID string `json:"id"`
+	JobResult
 }
 
 // Submit admits one job: a completed identical job (in memory or in
@@ -373,13 +369,7 @@ func (s *Server) Result(id string) (*ResultResponse, bool) {
 		return nil, true
 	}
 	s.lru.MoveToFront(j.elem)
-	return &ResultResponse{
-		ID:         j.id,
-		Stats:      j.result.Stats,
-		Attempts:   j.result.Attempts,
-		Recovered:  j.result.Recovered,
-		Detections: j.result.Detections,
-	}, true
+	return &ResultResponse{ID: j.id, JobResult: *j.result}, true
 }
 
 // Wait blocks until the job finishes (done or failed); false when the

@@ -11,6 +11,7 @@ import (
 	"warped/client"
 	"warped/internal/metrics"
 	"warped/internal/service"
+	"warped/internal/stats"
 	"warped/internal/store"
 )
 
@@ -165,4 +166,31 @@ func TestSpecKeyMatchesSubmitID(t *testing.T) {
 		t.Errorf("Submit assigned %s, SpecKey computed %s", resp.ID, id)
 	}
 	srv.Wait(resp.ID)
+}
+
+// TestResultEncoding pins the bytes of a store payload and of a result
+// body: the outcome's fields in order, and the body adds the job ID in
+// front. Stored entries and clients of earlier builds read both.
+func TestResultEncoding(t *testing.T) {
+	st := &stats.Stats{Cycles: 42, WarpInstrs: 7}
+	statsJSON, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := service.JobResult{Stats: st, Attempts: 2, Recovered: true, Detections: 3}
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := `"stats":` + string(statsJSON) + `,"attempts":2,"recovered":true,"detections":3}`
+	if want := "{" + outcome; string(payload) != want {
+		t.Errorf("store payload = %s\nwant %s", payload, want)
+	}
+	body, err := json.Marshal(service.ResultResponse{ID: "j0123456789abcdef", JobResult: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"id":"j0123456789abcdef",` + outcome; string(body) != want {
+		t.Errorf("result body = %s\nwant %s", body, want)
+	}
 }

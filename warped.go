@@ -411,24 +411,12 @@ func (r *Runner) Run(ctx context.Context, name string, options ...RunOption) (*R
 	if spec.validate != nil {
 		validate = *spec.validate
 	}
-	out := &Result{Benchmark: name}
-	opts := spec.opts
-	onError := opts.OnError
-	opts.OnError = func(ev ErrorEvent) {
-		out.Detections++
-		if onError != nil {
-			onError(ev)
-		}
-	}
-	st, attempts, err := kernels.Retry(ctx, spec.attempts, "warped: "+name, func() (*Stats, error) {
-		st, _, err := kernels.Attempt(ctx, spec.cfg, b, opts, validate)
-		return st, err
-	})
+	out, err := kernels.RunJob(ctx, spec.cfg, b, spec.opts, spec.attempts, validate, "warped: "+name)
 	if err != nil {
 		return nil, err
 	}
-	out.Stats, out.Attempts, out.Recovered = st, attempts, attempts > 1
-	return out, nil
+	return &Result{Stats: out.Stats, Benchmark: name, Attempts: out.Attempts,
+		Recovered: out.Recovered, Detections: out.Detections}, nil
 }
 
 // RunMany executes the named workloads concurrently on a worker pool of
