@@ -19,6 +19,7 @@ import (
 
 	"warped/internal/arch"
 	"warped/internal/kernels"
+	"warped/internal/metrics"
 	"warped/internal/sim"
 	"warped/internal/stats"
 	"warped/internal/xfer"
@@ -70,12 +71,13 @@ func (r Result) TotalS() float64 { return r.KernelS + r.TransferS }
 // end-to-end time decomposition. base must have DMR disabled; Evaluate
 // derives the per-approach configuration from it.
 func Evaluate(a Approach, bench *kernels.Benchmark, base arch.Config, pcie xfer.Model) (Result, error) {
-	return EvaluateContext(context.Background(), a, bench, base, pcie)
+	return EvaluateContext(context.Background(), a, bench, base, pcie, nil)
 }
 
 // EvaluateContext is Evaluate with cooperative cancellation plumbed
-// into every kernel launch.
-func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, base arch.Config, pcie xfer.Model) (Result, error) {
+// into every kernel launch, reporting each launch's simulator counters
+// into reg (which may be nil).
+func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, base arch.Config, pcie xfer.Model, reg *metrics.Registry) (Result, error) {
 	cfg := base
 	cfg.DMR = arch.DMROff
 	b := bench
@@ -94,7 +96,7 @@ func EvaluateContext(ctx context.Context, a Approach, bench *kernels.Benchmark, 
 
 	// Validate every approach: shadow blocks never write global memory,
 	// so even the R-Thread run must leave bit-correct outputs behind.
-	total, run, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{}, true)
+	total, run, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{Metrics: reg}, true)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", a, err)
 	}
@@ -145,7 +147,7 @@ func EvaluateAll(bench *kernels.Benchmark, base arch.Config, pcie xfer.Model) ([
 func EvaluateAllContext(ctx context.Context, bench *kernels.Benchmark, base arch.Config, pcie xfer.Model) ([]Result, error) {
 	out := make([]Result, 0, len(Approaches))
 	for _, a := range Approaches {
-		r, err := EvaluateContext(ctx, a, bench, base, pcie)
+		r, err := EvaluateContext(ctx, a, bench, base, pcie, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -125,11 +125,10 @@ type Record struct {
 	Vals [32]uint32
 
 	// Memory behaviour (LD/ST/ATOM only).
-	IsMem    bool
-	Addrs    [32]uint32
-	Segments int // coalesced transaction count (global/local)
-	BankSer  int // shared-memory serialization factor
-	IsStore  bool
+	IsMem   bool
+	Addrs   [32]uint32
+	BankSer int // shared-memory serialization factor
+	IsStore bool
 
 	// Control behaviour.
 	IsBranch  bool

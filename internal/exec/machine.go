@@ -32,8 +32,7 @@ type WarpState struct {
 
 // Opts configures a Machine at construction.
 type Opts struct {
-	SegBytes int // coalescing segment size (global/local accesses)
-	Banks    int // shared-memory bank count
+	Banks int // shared-memory bank count
 
 	// Metrics, when non-nil, receives the branch-behaviour and
 	// bank-conflict counts (see internal/metrics.ForExec). Step tallies
@@ -54,13 +53,12 @@ type Opts struct {
 // that buffer a record past the next Step (the DMR replay queue, trace
 // sinks) must copy it by value.
 type Machine struct {
-	code     []Decoded
-	prog     *isa.Program
-	segBytes int
-	banks    int
-	met      *metrics.Exec
-	perturb  Perturb
-	rec      Record
+	code    []Decoded
+	prog    *isa.Program
+	banks   int
+	met     *metrics.Exec
+	perturb Perturb
+	rec     Record
 
 	// Plain tallies of the exec.* metrics, published by FlushMetrics.
 	divergentBranches int64
@@ -71,12 +69,11 @@ type Machine struct {
 // NewMachine builds a Machine over a compiled program.
 func NewMachine(c *Compiled, o Opts) *Machine {
 	return &Machine{
-		code:     c.code,
-		prog:     c.prog,
-		segBytes: o.SegBytes,
-		banks:    o.Banks,
-		met:      o.Metrics,
-		perturb:  o.Perturb,
+		code:    c.code,
+		prog:    c.prog,
+		banks:   o.Banks,
+		met:     o.Metrics,
+		perturb: o.Perturb,
 	}
 }
 
@@ -115,7 +112,6 @@ func (m *Machine) Step(ws *WarpState) (*Record, error) {
 	rec.Active = ws.Ctl.ActiveMask()
 	rec.Executing = 0
 	rec.IsMem = false
-	rec.Segments = 0
 	rec.BankSer = 0
 	rec.IsStore = false
 	rec.IsBranch = false
@@ -334,10 +330,8 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 	switch d.Space {
 	case isa.SpaceShared:
 		rec.BankSer = mem.BankConflictDegree(rec.Addrs[:], uint32(executing), m.banks)
-		rec.Segments = 1
 		m.sharedBankExtra += int64(rec.BankSer - 1)
 	case isa.SpaceGlobal, isa.SpaceParam, isa.SpaceLocal:
-		rec.Segments = mem.CoalesceSegments(rec.Addrs[:], uint32(executing), m.segBytes)
 		rec.BankSer = 1
 	}
 

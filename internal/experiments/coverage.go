@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"warped/internal/arch"
+	"warped/internal/kernels"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -41,7 +42,7 @@ func (e *Engine) Fig9a(ctx context.Context) (*Fig9aResult, error) {
 		cfg.Mapping = mapping
 		return cfg
 	}
-	names, res, err := e.runGrid(ctx, []arch.Config{
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{
 		mk(4, arch.MapLinear),
 		mk(8, arch.MapLinear),
 		mk(4, arch.MapClusterRR),
@@ -121,7 +122,7 @@ func (e *Engine) Fig9b(ctx context.Context) (*Fig9bResult, error) {
 		cfg.ReplayQSize = size
 		cfgs = append(cfgs, cfg)
 	}
-	names, res, err := e.runGrid(ctx, cfgs, sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), cfgs, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}

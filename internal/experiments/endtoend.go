@@ -32,7 +32,7 @@ func (e *Engine) Fig10(ctx context.Context) (*Fig10Result, error) {
 	na := len(baselines.Approaches)
 	flat, err := runner.Map(ctx, e.pool(), len(bs)*na,
 		func(ctx context.Context, i int) (baselines.Result, error) {
-			return baselines.EvaluateContext(ctx, baselines.Approaches[i%na], bs[i/na], arch.PaperConfig(), pcie)
+			return baselines.EvaluateContext(ctx, baselines.Approaches[i%na], bs[i/na], arch.PaperConfig(), pcie, e.Metrics)
 		})
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (e *Engine) Fig11(ctx context.Context) (*Fig11Result, error) {
 	pp := power.DefaultParams()
 	baseCfg := arch.PaperConfig()
 	dmrCfg := arch.WarpedDMRConfig()
-	names, res, err := e.runGrid(ctx, []arch.Config{baseCfg, dmrCfg}, sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{baseCfg, dmrCfg}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -158,11 +158,6 @@ func (c CampaignResult) DetectionRate() float64 {
 	return float64(c.Detected) / float64(c.Activated)
 }
 
-// campaignOutcome classifies one fault-injected run.
-type campaignOutcome struct {
-	activated, detected, crashed bool
-}
-
 // Campaign injects n random stuck-at faults (one per run) into a
 // benchmark under full Warped-DMR and reports how many were caught.
 // The fault sequence is drawn from the seed up front, in run order, so
@@ -197,35 +192,23 @@ func (e *Engine) CampaignConfig(ctx context.Context, benchName string, cfg arch.
 		faults[i] = f
 	}
 
-	outcomes, err := runner.Map(ctx, e.pool(), n, func(ctx context.Context, i int) (campaignOutcome, error) {
-		inj := fault.NewInjector(faults[i])
-		st, _, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{Fault: inj, Metrics: e.Metrics}, false)
-		if err != nil && !isCrash(st, err) {
-			return campaignOutcome{}, err
-		}
-		// A crash is a detection of sorts (DUE rather than SDC) but is
-		// counted separately; st holds the launches that completed, so
-		// "detected" still means a comparator fired before any crash.
-		return campaignOutcome{
-			activated: inj.Activations > 0,
-			detected:  st.FaultsDetected > 0,
-			crashed:   err != nil,
-		}, nil
+	trials, err := runner.Map(ctx, e.pool(), n, func(ctx context.Context, i int) (trial, error) {
+		return e.runTrial(ctx, cfg, b, faults[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &CampaignResult{Benchmark: benchName, Runs: n}
-	for _, o := range outcomes {
-		if !o.activated {
+	for _, t := range trials {
+		if !t.activated {
 			continue
 		}
 		out.Activated++
 		switch {
-		case o.detected:
+		case t.detected:
 			out.Detected++
-		case o.crashed:
+		case t.crashed:
 			out.Crashed++
 		default:
 			out.Silent++

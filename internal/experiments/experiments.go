@@ -19,7 +19,6 @@ import (
 
 	"warped/internal/arch"
 	"warped/internal/kernels"
-	"warped/internal/runner"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -45,12 +44,12 @@ type Fig1Result struct {
 
 // Fig1 reproduces Figure 1 on the plain (no-DMR) machine.
 func (e *Engine) Fig1(ctx context.Context) (*Fig1Result, error) {
-	names, res, err := e.runAll(ctx, arch.PaperConfig(), sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{arch.PaperConfig()}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
 	r := &Fig1Result{Names: names}
-	for _, st := range res {
+	for _, st := range res[0] {
 		r.Fractions = append(r.Fractions, st.ActiveFractions())
 	}
 	return r, nil
@@ -77,12 +76,12 @@ type Fig5Result struct {
 
 // Fig5 reproduces Figure 5.
 func (e *Engine) Fig5(ctx context.Context) (*Fig5Result, error) {
-	names, res, err := e.runAll(ctx, arch.PaperConfig(), sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{arch.PaperConfig()}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
 	r := &Fig5Result{Names: names}
-	for _, st := range res {
+	for _, st := range res[0] {
 		r.Fractions = append(r.Fractions, st.TypeFractions())
 	}
 	return r, nil
@@ -110,12 +109,12 @@ type Fig8aResult struct {
 // Fig8a reproduces Figure 8(a): the average distance before the
 // issued instruction type switches — the key ReplayQ sizing input.
 func (e *Engine) Fig8a(ctx context.Context) (*Fig8aResult, error) {
-	names, res, err := e.runAll(ctx, arch.PaperConfig(), sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{arch.PaperConfig()}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
 	r := &Fig8aResult{Names: names}
-	for _, st := range res {
+	for _, st := range res[0] {
 		r.Mean = append(r.Mean, [3]float64{
 			st.Runs.Mean(0), st.Runs.Mean(2), st.Runs.Mean(1),
 		})
@@ -155,28 +154,20 @@ var fig8bBenchmarks = []string{
 // its next read in one tracked warp (warp 1, or warp 0 for single-warp
 // blocks, as the paper does for SHA).
 func (e *Engine) Fig8b(ctx context.Context) (*Fig8bResult, error) {
-	trackers, err := runner.Map(ctx, e.pool(), len(fig8bBenchmarks),
-		func(ctx context.Context, i int) (*stats.RAWTracker, error) {
-			name := fig8bBenchmarks[i]
-			b, err := kernels.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			st, _, err := kernels.Attempt(ctx, arch.PaperConfig(), b, sim.LaunchOpts{TrackRAW: true}, true)
-			if err != nil {
-				return nil, err
-			}
-			if st.RAW == nil {
-				return nil, fmt.Errorf("experiments: no RAW tracker for %s", name)
-			}
-			return st.RAW, nil
-		})
+	bs, err := byName(fig8bBenchmarks)
 	if err != nil {
 		return nil, err
 	}
-	r := &Fig8bResult{}
-	for i, raw := range trackers {
-		r.Names = append(r.Names, fig8bBenchmarks[i])
+	names, res, err := e.runGrid(ctx, bs, []arch.Config{arch.PaperConfig()}, sim.LaunchOpts{TrackRAW: true})
+	if err != nil {
+		return nil, err
+	}
+	r := &Fig8bResult{Names: names}
+	for i, st := range res[0] {
+		raw := st.RAW
+		if raw == nil {
+			return nil, fmt.Errorf("experiments: no RAW tracker for %s", names[i])
+		}
 		r.MinDist = append(r.MinDist, raw.Min())
 		r.FracGE8 = append(r.FracGE8, raw.FractionAtLeast(8))
 		r.FracGE100 = append(r.FracGE100, raw.FractionAtLeast(100))

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
 	"warped/internal/arch"
-	"warped/internal/core"
 	"warped/internal/fault"
 	"warped/internal/kernels"
 	"warped/internal/runner"
@@ -37,101 +35,79 @@ type SamplingResult struct {
 
 // Sampling sweeps the DMR duty cycle as the protection policy
 // epoch:ON/1000 (epoch:1000/1000, the 100% point, is full protection).
-// The no-DMR baselines fan out across benchmarks, then each duty-cycle
-// point runs as an independent task (its RNG is seeded by the duty, so
-// draws stay in the serial order within a point and the sweep is
-// deterministic at any worker count).
+// The DMR-off baselines and every duty point's fault-free runs fan out
+// as one grid, then every transient trial fans out at once. Each duty
+// point draws its transients from an RNG seeded by the duty, in
+// benchmark-then-trial order, so the sweep is deterministic at any
+// worker count.
 func (e *Engine) Sampling(ctx context.Context) (*SamplingResult, error) {
 	duties := []int{100, 50, 25, 10}
 	const epoch = 1000
 	const transientTrials = 12
 
-	base, err := runner.Map(ctx, e.pool(), len(samplingBenchmarks),
-		func(ctx context.Context, i int) (*stats.Stats, error) {
-			return runBench(ctx, samplingBenchmarks[i], arch.PaperConfig(), sim.LaunchOpts{})
-		})
+	bs, err := byName(samplingBenchmarks)
 	if err != nil {
 		return nil, err
 	}
-	baseCycles := map[string]int64{}
-	for i, name := range samplingBenchmarks {
-		baseCycles[name] = base[i].Cycles
+	// Config 0 is the DMR-off overhead baseline; config 1+di is duty
+	// point di.
+	cfgs := []arch.Config{arch.PaperConfig()}
+	for _, duty := range duties {
+		cfg := arch.WarpedDMRConfig()
+		cfg.Policy = arch.Policy{Kind: arch.PolicyEpoch, EpochOn: epoch * duty / 100, EpochPeriod: epoch}
+		cfgs = append(cfgs, cfg)
+	}
+	_, res, err := e.runGrid(ctx, bs, cfgs, sim.LaunchOpts{})
+	if err != nil {
+		return nil, err
+	}
+	base := res[0]
+
+	// Transient sensitivity: one random single-event upset per trial,
+	// within the portion of the run DMR might see. Trial i belongs to
+	// duty point i/perDuty and benchmark i%perDuty/perBench.
+	perBench := transientTrials / len(bs)
+	perDuty := perBench * len(bs)
+	faults := make([]*fault.Fault, 0, len(duties)*perDuty)
+	for _, duty := range duties {
+		rng := rand.New(rand.NewSource(int64(duty)))
+		for bi := range bs {
+			for k := 0; k < perBench; k++ {
+				faults = append(faults, drawTransient(rng, base[bi].Cycles))
+			}
+		}
+	}
+	trials, err := runner.Map(ctx, e.pool(), len(faults), func(ctx context.Context, i int) (trial, error) {
+		return e.runTrial(ctx, cfgs[1+i/perDuty], bs[i%perDuty/perBench], faults[i])
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	points, err := runner.Map(ctx, e.pool(), len(duties),
-		func(ctx context.Context, di int) (SamplingPoint, error) {
-			duty := duties[di]
-			cfg := arch.WarpedDMRConfig()
-			cfg.Policy = arch.Policy{Kind: arch.PolicyEpoch, EpochOn: epoch * duty / 100, EpochPeriod: epoch}
-			var covs, ovhs []float64
-			detected, activated := 0, 0
-			rng := rand.New(rand.NewSource(int64(duty)))
-			for _, name := range samplingBenchmarks {
-				st, err := runBench(ctx, name, cfg, sim.LaunchOpts{})
-				if err != nil {
-					return SamplingPoint{}, err
-				}
-				covs = append(covs, st.Coverage())
-				ovhs = append(ovhs, float64(st.Cycles)/float64(baseCycles[name]))
-
-				// Transient sensitivity: one random single-event upset per
-				// trial, within the portion of the run DMR might see.
-				for trial := 0; trial < transientTrials/len(samplingBenchmarks); trial++ {
-					f := fault.RandomTransient(rng, 8, baseCycles[name])
-					f.Unit = 0 // SP, the most exercised unit
-					f.Bit = uint(rng.Intn(12))
-					inj := fault.NewInjector(f)
-					fst, err := runBench(ctx, name, cfg, sim.LaunchOpts{Fault: inj})
-					if err != nil {
-						if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-							return SamplingPoint{}, err
-						}
-						// Address corruption aborted the kernel: a DUE, which
-						// counts as caught for this comparison.
-						if inj.Activations > 0 {
-							activated++
-							detected++
-						}
-						continue
-					}
-					if inj.Activations > 0 {
-						activated++
-						if fst.FaultsDetected > 0 {
-							detected++
-						}
-					}
+	r := &SamplingResult{Benchmarks: samplingBenchmarks}
+	for di, duty := range duties {
+		var covs, ovhs []float64
+		for bi, st := range res[1+di] {
+			covs = append(covs, st.Coverage())
+			ovhs = append(ovhs, float64(st.Cycles)/float64(base[bi].Cycles))
+		}
+		p := SamplingPoint{DutyPct: duty, Coverage: mean(covs), Overhead: mean(ovhs)}
+		// A crash (DUE) counts as caught for this comparison.
+		caught, activated := 0, 0
+		for _, t := range trials[di*perDuty : (di+1)*perDuty] {
+			if t.activated {
+				activated++
+				if t.detected || t.crashed {
+					caught++
 				}
 			}
-			p := SamplingPoint{DutyPct: duty, Coverage: mean(covs), Overhead: mean(ovhs)}
-			if activated > 0 {
-				p.Transient = float64(detected) / float64(activated)
-			}
-			return p, nil
-		})
-	if err != nil {
-		return nil, err
+		}
+		if activated > 0 {
+			p.Transient = float64(caught) / float64(activated)
+		}
+		r.Points = append(r.Points, p)
 	}
-	return &SamplingResult{Benchmarks: samplingBenchmarks, Points: points}, nil
-}
-
-// runBench executes one benchmark without validation short-circuiting
-// on fault-corrupted outputs (validation errors are only fatal for
-// fault-free runs, where they indicate simulator bugs).
-func runBench(ctx context.Context, name string, cfg arch.Config, opts sim.LaunchOpts) (*stats.Stats, error) {
-	b, err := kernels.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	st, _, err := kernels.Attempt(ctx, cfg, b, opts, opts.Fault == nil)
-	return st, err
-}
-
-// isCrash reports whether an error from kernels.Attempt is the run's
-// own crash (a DUE: a corrupted address ran off the end of memory, or a
-// host step choked on corrupted output) rather than one that must end
-// the measurement: a run that never started, or a cancelled one.
-func isCrash(st *stats.Stats, err error) bool {
-	return st != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	return r, nil
 }
 
 // Table renders the sampling sweep.
@@ -161,7 +137,7 @@ func (e *Engine) SchedulerStudy(ctx context.Context) (*SchedulerResult, error) {
 	one := arch.PaperConfig()
 	two := arch.PaperConfig()
 	two.NumSchedulers = 2
-	names, res, err := e.runGrid(ctx, []arch.Config{one, two}, sim.LaunchOpts{})
+	names, res, err := e.runGrid(ctx, kernels.All(), []arch.Config{one, two}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -203,78 +179,48 @@ type LatencyResult struct {
 	KernelLen int64 // kernel cycles = the software end-of-run bound
 }
 
-// latencyTrial is one transient-injection measurement.
-type latencyTrial struct {
-	activated bool
-	detected  bool
-	delay     int64
-}
-
 // DetectionLatency injects one transient per trial under full
-// Warped-DMR and measures the activation-to-detection distance. The
-// per-trial faults are drawn from the seed up front, in trial order, so
-// the measurement is deterministic at any worker count; the trials
-// themselves fan out across the pool.
+// Warped-DMR and measures the activation-to-detection distance. A
+// trial's first detection counts a comparator firing in any launch,
+// the one a crash aborted too, unlike the campaign's "detected" (see
+// EXPERIMENTS.md). The per-trial faults are drawn from the seed up
+// front, in trial order, so the measurement is deterministic at any
+// worker count; the trials themselves fan out across the pool.
 func (e *Engine) DetectionLatency(ctx context.Context, benchName string, trials int, seed int64) (*LatencyResult, error) {
 	b, err := kernels.ByName(benchName)
 	if err != nil {
 		return nil, err
 	}
-	base, err := runBench(ctx, benchName, arch.PaperConfig(), sim.LaunchOpts{})
+	_, res, err := e.runGrid(ctx, []*kernels.Benchmark{b}, []arch.Config{arch.PaperConfig()}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, err
 	}
+	base := res[0][0]
 	out := &LatencyResult{Benchmark: benchName, Trials: trials, KernelLen: base.Cycles}
 
 	rng := rand.New(rand.NewSource(seed))
-	cfg := arch.WarpedDMRConfig()
 	faults := make([]*fault.Fault, trials)
 	for i := range faults {
-		f := fault.RandomTransient(rng, 8, base.Cycles)
-		f.Unit = 0 // SP
-		f.Bit = uint(rng.Intn(12))
-		faults[i] = f
+		faults[i] = drawTransient(rng, base.Cycles)
 	}
-
-	results, err := runner.Map(ctx, e.pool(), trials, func(ctx context.Context, i int) (latencyTrial, error) {
-		inj := fault.NewInjector(faults[i])
-		var firstDetect int64 = -1
-		opts := sim.LaunchOpts{Fault: inj, OnError: func(ev core.ErrorEvent) {
-			if firstDetect < 0 {
-				firstDetect = ev.Cycle
-			}
-		}}
-		// A crash (DUE) just ends the run early: the trial reads only the
-		// first detection and the first activation, which no later
-		// launch can change.
-		if st, _, err := kernels.Attempt(ctx, cfg, b, opts, false); err != nil && !isCrash(st, err) {
-			return latencyTrial{}, err
-		}
-		tr := latencyTrial{activated: inj.Activations > 0}
-		if tr.activated && firstDetect >= 0 {
-			tr.detected = true
-			if d := firstDetect - inj.FirstActivation; d > 0 {
-				tr.delay = d
-			} // else detection in the same multi-launch window: delay 0
-		}
-		return tr, nil
+	cfg := arch.WarpedDMRConfig()
+	results, err := runner.Map(ctx, e.pool(), trials, func(ctx context.Context, i int) (trial, error) {
+		return e.runTrial(ctx, cfg, b, faults[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	var totalDelay int64
-	for _, tr := range results {
-		if !tr.activated {
+	for _, t := range results {
+		if !t.activated {
 			continue
 		}
 		out.Activated++
-		if tr.detected {
+		if t.delay >= 0 {
 			out.Detected++
-			totalDelay += tr.delay
-			if tr.delay > out.MaxDelay {
-				out.MaxDelay = tr.delay
-			}
+			totalDelay += t.delay
+			out.MaxDelay = max(out.MaxDelay, t.delay)
 		}
 	}
 	if out.Detected > 0 {

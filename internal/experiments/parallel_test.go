@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"warped/internal/metrics"
 )
 
 // TestParallelMatchesSerial is the determinism contract of the
@@ -67,6 +69,36 @@ func TestEngineProgress(t *testing.T) {
 	}
 	if calls != 11 || lastTotal != 11 {
 		t.Errorf("progress saw %d/%d completions, want 11/11", calls, lastTotal)
+	}
+}
+
+// TestEngineMetricsEveryHarness pins the Engine.Metrics promise: an
+// attached registry receives the simulator counters of every run,
+// whichever harness makes it.
+func TestEngineMetricsEveryHarness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, *Engine) error
+	}{
+		{"Fig8b", func(ctx context.Context, e *Engine) error { _, err := e.Fig8b(ctx); return err }},
+		{"DetectionLatency", func(ctx context.Context, e *Engine) error {
+			_, err := e.DetectionLatency(ctx, "MatrixMul", 2, 21)
+			return err
+		}},
+		{"Fig10", func(ctx context.Context, e *Engine) error { _, err := e.Fig10(ctx); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			if err := tc.run(context.Background(), &Engine{Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.Counter("sim.warp_instrs_total").Value(); n <= 0 {
+				t.Errorf("sim.warp_instrs_total = %d, want > 0", n)
+			}
+		})
 	}
 }
 

@@ -100,8 +100,7 @@ func (r *ParetoResult) Point(bi, pi int) *ParetoPoint {
 // policy"). Overhead is measured against a DMR-off run of the same
 // benchmark; with spec.Trials > 0 each cell also runs the
 // fault-injection campaign, with identical fault sequences across
-// policies. The fault-free grid is one (1+len(policies))×11 fan-out;
-// output is byte-identical at any worker count.
+// policies. Output is byte-identical at any worker count.
 func (e *Engine) Pareto(ctx context.Context, spec ParetoSpec) (*ParetoResult, error) {
 	policies := spec.Policies
 	if len(policies) == 0 {
@@ -113,93 +112,44 @@ func (e *Engine) Pareto(ctx context.Context, spec ParetoSpec) (*ParetoResult, er
 		}
 	}
 
-	// Config 0 is the DMR-off overhead baseline; configs 1..P are the
-	// recommended Warped-DMR machine with each policy armed.
-	cfgs := make([]arch.Config, 0, len(policies)+1)
-	cfgs = append(cfgs, arch.PaperConfig())
-	for _, p := range policies {
-		cfg := arch.WarpedDMRConfig()
-		cfg.Policy = p
-		cfgs = append(cfgs, cfg)
-	}
-	names, res, err := e.runGrid(ctx, cfgs, sim.LaunchOpts{})
+	bs := kernels.All()
+	points, err := e.sweep(ctx, bs, func(int) []arch.Policy { return policies }, spec.Trials, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	r := &ParetoResult{Names: names, Policies: policies, Trials: spec.Trials, Seed: spec.Seed}
-	r.Points = make([]ParetoPoint, 0, len(names)*len(policies))
-	for bi, name := range names {
-		base := res[0][bi]
-		for pi, p := range policies {
-			st := res[pi+1][bi]
-			pt := ParetoPoint{
-				Benchmark:  name,
-				Policy:     p.String(),
-				Coverage:   st.Coverage(),
-				Protected:  st.ProtectedFraction(),
-				Cycles:     st.Cycles,
-				BaseCycles: base.Cycles,
-			}
-			if base.Cycles > 0 {
-				pt.Overhead = float64(st.Cycles)/float64(base.Cycles) - 1
-			}
-			r.Points = append(r.Points, pt)
-		}
-	}
-
-	if spec.Trials > 0 {
-		// Campaigns run cell by cell — each already fans its trials out
-		// across the pool — with the per-benchmark fault sequence shared by
-		// every policy (CampaignConfig draws it from (n, seed) alone).
-		for bi, name := range names {
-			for pi := range policies {
-				cfg := cfgs[pi+1]
-				c, err := e.CampaignConfig(ctx, name, cfg, spec.Trials, spec.Seed)
-				if err != nil {
-					return nil, err
-				}
-				pt := r.Point(bi, pi)
-				pt.Trials = c.Runs
-				pt.Activated = c.Activated
-				pt.Detected = c.Detected
-				pt.Detection = c.DetectionRate()
-			}
-		}
-	}
+	r := &ParetoResult{Names: benchNames(bs), Policies: policies, Points: points, Trials: spec.Trials, Seed: spec.Seed}
 
 	if spec.Synth {
 		bs := append(append([]*kernels.Benchmark{}, kernels.All()...), kernels.Extras()...)
-		names, points, err := e.synthSweep(ctx, bs, spec.Trials, spec.Seed)
+		synth, err := synthesized(bs)
 		if err != nil {
 			return nil, err
 		}
-		r.SynthNames, r.Synth = names, points
+		full := arch.Policy{Kind: arch.PolicyFull}
+		r.SynthNames = benchNames(bs)
+		r.Synth, err = e.sweep(ctx, bs, func(bi int) []arch.Policy { return []arch.Policy{full, synth[bi]} }, spec.Trials, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }
 
-// synthSweep runs the vulnerability-synthesized section of the Pareto
-// sweep over bs: per benchmark, a full-protection point and a point
-// with the policy SynthesizePolicy derives from the static unACE
-// analysis of the benchmark's kernels (the first non-full policy among
-// them, or full when every kernel is fully ACE). The runGrid fan-out
-// only covers the paper suite, so this section runs its own grid —
-// benchmarks × {DMR-off, full, synthesized} — through the pool.
-func (e *Engine) synthSweep(ctx context.Context, bs []*kernels.Benchmark, trials int, seed int64) ([]string, []ParetoPoint, error) {
+// synthesized returns, per benchmark of bs, the policy SynthesizePolicy
+// derives from the static unACE analysis of its kernels: the first
+// non-full policy among them, or full when every kernel is fully ACE.
+func synthesized(bs []*kernels.Benchmark) ([]arch.Policy, error) {
 	policies := make([]arch.Policy, len(bs))
-	names := make([]string, len(bs))
 	for bi, b := range bs {
-		names[bi] = b.Name
 		policies[bi] = arch.Policy{Kind: arch.PolicyFull}
 		progs, err := benchPrograms(b)
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: synth sweep %s: %w", b.Name, err)
+			return nil, fmt.Errorf("experiments: synth sweep %s: %w", b.Name, err)
 		}
 		for _, p := range progs {
 			rep, err := verify.AnalyzeVuln(p)
 			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: synth sweep %s: kernel %s: %w", b.Name, p.Name, err)
+				return nil, fmt.Errorf("experiments: synth sweep %s: kernel %s: %w", b.Name, p.Name, err)
 			}
 			if pol := arch.SynthesizePolicy(p.Name, len(p.Instrs), rep.UnACEPCs()); pol.Kind != arch.PolicyFull {
 				policies[bi] = pol
@@ -207,69 +157,72 @@ func (e *Engine) synthSweep(ctx context.Context, bs []*kernels.Benchmark, trials
 			}
 		}
 	}
+	return policies, nil
+}
 
-	// Fault-free grid: per benchmark a DMR-off overhead baseline, the
-	// full-protection reference, and the synthesized policy.
-	cfgOf := func(bi, ci int) arch.Config {
-		switch ci {
-		case 0:
-			return arch.PaperConfig()
-		case 1:
-			return arch.WarpedDMRConfig()
-		default:
+// sweep measures Pareto cells: for every benchmark bi of bs, one point
+// per policy of policies(bi), in (benchmark-major, policy-minor) order.
+// Each benchmark's DMR-off overhead baseline and its cells — the
+// recommended Warped-DMR machine with the policy armed — fan out as one
+// grid. With trials > 0 every cell then runs the fault-injection
+// campaign; CampaignConfig draws a benchmark's fault sequence from
+// (trials, seed) alone, so every policy of it sees the same faults.
+func (e *Engine) sweep(ctx context.Context, bs []*kernels.Benchmark, policies func(bi int) []arch.Policy, trials int, seed int64) ([]ParetoPoint, error) {
+	type cell struct {
+		bi   int
+		cfg  arch.Config
+		base bool // the benchmark's DMR-off baseline, not a point
+	}
+	var cells []cell
+	for bi := range bs {
+		cells = append(cells, cell{bi, arch.PaperConfig(), true})
+		for _, p := range policies(bi) {
 			cfg := arch.WarpedDMRConfig()
-			cfg.Policy = policies[bi]
-			return cfg
+			cfg.Policy = p
+			cells = append(cells, cell{bi, cfg, false})
 		}
 	}
-	res, err := runner.Map(ctx, e.pool(), len(bs)*3, func(ctx context.Context, i int) (*stats.Stats, error) {
-		st, _, err := kernels.Attempt(ctx, cfgOf(i/3, i%3), bs[i/3], sim.LaunchOpts{Metrics: e.Metrics}, true)
+	res, err := runner.Map(ctx, e.pool(), len(cells), func(ctx context.Context, i int) (*stats.Stats, error) {
+		st, _, err := kernels.Attempt(ctx, cells[i].cfg, bs[cells[i].bi], sim.LaunchOpts{Metrics: e.Metrics}, true)
 		return st, err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	points := make([]ParetoPoint, 0, len(bs)*2)
-	for bi := range bs {
-		base := res[bi*3]
-		for ci := 1; ci <= 2; ci++ {
-			st := res[bi*3+ci]
-			pol := arch.Policy{Kind: arch.PolicyFull}
-			if ci == 2 {
-				pol = policies[bi]
-			}
-			pt := ParetoPoint{
-				Benchmark:  names[bi],
-				Policy:     pol.String(),
-				Coverage:   st.Coverage(),
-				Protected:  st.ProtectedFraction(),
-				Cycles:     st.Cycles,
-				BaseCycles: base.Cycles,
-			}
-			if base.Cycles > 0 {
-				pt.Overhead = float64(st.Cycles)/float64(base.Cycles) - 1
-			}
-			points = append(points, pt)
+	var points []ParetoPoint
+	var base *stats.Stats
+	for i, c := range cells {
+		st := res[i]
+		if c.base {
+			base = st
+			continue
 		}
-	}
-
-	if trials > 0 {
-		for bi := range bs {
-			for ci := 1; ci <= 2; ci++ {
-				c, err := e.CampaignConfig(ctx, names[bi], cfgOf(bi, ci), trials, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				pt := &points[bi*2+ci-1]
-				pt.Trials = c.Runs
-				pt.Activated = c.Activated
-				pt.Detected = c.Detected
-				pt.Detection = c.DetectionRate()
-			}
+		pt := ParetoPoint{
+			Benchmark:  bs[c.bi].Name,
+			Policy:     c.cfg.Policy.String(),
+			Coverage:   st.Coverage(),
+			Protected:  st.ProtectedFraction(),
+			Cycles:     st.Cycles,
+			BaseCycles: base.Cycles,
 		}
+		if base.Cycles > 0 {
+			pt.Overhead = float64(st.Cycles)/float64(base.Cycles) - 1
+		}
+		if trials > 0 {
+			// Each campaign already fans its trials out across the pool.
+			camp, err := e.CampaignConfig(ctx, pt.Benchmark, c.cfg, trials, seed)
+			if err != nil {
+				return nil, err
+			}
+			pt.Trials = camp.Runs
+			pt.Activated = camp.Activated
+			pt.Detected = camp.Detected
+			pt.Detection = camp.DetectionRate()
+		}
+		points = append(points, pt)
 	}
-	return names, points, nil
+	return points, nil
 }
 
 // Table renders the sweep, one row per (benchmark, policy) cell.

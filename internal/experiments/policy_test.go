@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"warped/internal/arch"
+	"warped/internal/kernels"
 	"warped/internal/sim"
 )
 
@@ -32,7 +33,7 @@ func TestPolicyFullByteIdentical(t *testing.T) {
 	degenerateSample.Policy = arch.Policy{Kind: arch.PolicyWarpSample, SampleN: 1}
 
 	e := &Engine{}
-	names, res, err := e.runGrid(context.Background(),
+	names, res, err := e.runGrid(context.Background(), kernels.All(),
 		[]arch.Config{base, explicit, degenerateKernel, degenerateSample}, sim.LaunchOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -65,20 +66,20 @@ func TestWarpSampleDeterministic(t *testing.T) {
 
 	serial := &Engine{Workers: 1}
 	parallel := &Engine{Workers: 8}
-	names, serialRes, err := serial.runAll(context.Background(), cfg, sim.LaunchOpts{})
+	names, serialRes, err := serial.runGrid(context.Background(), kernels.All(), []arch.Config{cfg}, sim.LaunchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parallelRes, err := parallel.runAll(context.Background(), cfg, sim.LaunchOpts{})
+	_, parallelRes, err := parallel.runGrid(context.Background(), kernels.All(), []arch.Config{cfg}, sim.LaunchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for bi, name := range names {
-		if !reflect.DeepEqual(serialRes[bi], parallelRes[bi]) {
+		if !reflect.DeepEqual(serialRes[0][bi], parallelRes[0][bi]) {
 			t.Errorf("%s: serial and parallel runs disagree under warpsample:1/4:\nserial   %+v\nparallel %+v",
-				name, serialRes[bi], parallelRes[bi])
+				name, serialRes[0][bi], parallelRes[0][bi])
 		}
-		st := serialRes[bi]
+		st := serialRes[0][bi]
 		if st.ProtectedTI+st.SkippedTI != st.EligibleTI {
 			t.Errorf("%s: protected (%d) + skipped (%d) != eligible (%d)",
 				name, st.ProtectedTI, st.SkippedTI, st.EligibleTI)

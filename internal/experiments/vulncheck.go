@@ -117,10 +117,11 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 	// Fault-free baseline: the statistics every figure derives from.
 	// Injection runs must reproduce these exactly.
 	baseCfg := arch.PaperConfig()
-	baseline, _, err := kernels.Attempt(ctx, baseCfg, b, sim.LaunchOpts{Metrics: e.Metrics}, true)
+	_, res, err := e.runGrid(ctx, []*kernels.Benchmark{b}, []arch.Config{baseCfg}, sim.LaunchOpts{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fault-free baseline: %w", err)
 	}
+	baseline := res[0][0]
 
 	type injection struct {
 		kernel string
@@ -130,6 +131,10 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 	var rows []VulnCheckRow
 	var jobs []injection
 	rowOf := map[string]int{}
+	// synthRows[i] is the row whose non-full synthesized policy
+	// synthCfgs[i] arms on the recommended Warped-DMR machine.
+	var synthRows []int
+	var synthCfgs []arch.Config
 	for _, p := range progs {
 		r, err := verify.AnalyzeVuln(p)
 		if err != nil {
@@ -142,6 +147,10 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 		policy := arch.SynthesizePolicy(p.Name, len(p.Instrs), r.UnACEPCs())
 		if policy.Kind != arch.PolicyFull {
 			vm.Synthesized.Inc()
+			cfg := arch.WarpedDMRConfig()
+			cfg.Policy = policy
+			synthRows = append(synthRows, len(rows))
+			synthCfgs = append(synthCfgs, cfg)
 		}
 		rowOf[p.Name] = len(rows)
 		rows = append(rows, VulnCheckRow{
@@ -190,23 +199,14 @@ func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, v
 		}
 	}
 
-	// Measure what each non-full synthesized policy actually skips under
-	// the recommended Warped-DMR machine.
-	for ri := range rows {
-		if rows[ri].Policy == "full" {
-			continue
-		}
-		p, err := arch.ParsePolicy(rows[ri].Policy)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := arch.WarpedDMRConfig()
-		cfg.Policy = p
-		st, _, err := kernels.Attempt(ctx, cfg, b, sim.LaunchOpts{Metrics: e.Metrics}, true)
-		if err != nil {
-			return nil, nil, fmt.Errorf("synthesized-policy run: %w", err)
-		}
-		if st.EligibleTI > 0 {
+	// Measure what each non-full synthesized policy actually skips, all
+	// of them as one grid.
+	_, res, err = e.runGrid(ctx, []*kernels.Benchmark{b}, synthCfgs, sim.LaunchOpts{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("synthesized-policy run: %w", err)
+	}
+	for i, ri := range synthRows {
+		if st := res[i][0]; st.EligibleTI > 0 {
 			rows[ri].SkippedFrac = float64(st.SkippedTI) / float64(st.EligibleTI)
 		}
 	}

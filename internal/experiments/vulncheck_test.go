@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"warped/internal/arch"
 	"warped/internal/kernels"
 	"warped/internal/metrics"
 )
@@ -94,12 +95,20 @@ func TestSynthSweepDetectionParity(t *testing.T) {
 	}
 	e := &Engine{Workers: 4}
 	const trials = 24
-	names, points, err := e.synthSweep(context.Background(), []*kernels.Benchmark{b}, trials, 1)
+	bs := []*kernels.Benchmark{b}
+	synthesizedPolicies, err := synthesized(bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || len(points) != 2 {
-		t.Fatalf("sweep shape: %d names, %d points; want 1, 2", len(names), len(points))
+	policies := func(bi int) []arch.Policy {
+		return []arch.Policy{{Kind: arch.PolicyFull}, synthesizedPolicies[bi]}
+	}
+	points, err := e.sweep(context.Background(), bs, policies, trials, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
+		t.Fatalf("sweep shape: %d points, want 2", len(points))
 	}
 	full, synth := points[0], points[1]
 	if full.Policy != "full" {

@@ -168,8 +168,9 @@ func retry(ctx context.Context, n int, who string, attempt func() (*stats.Stats,
 // Inline wraps an assembled kernel as a one-launch workload named name:
 // k's geometry and params, its shared memory raised to the program's
 // .shared directive, and no host-reference check. Each Build launches
-// a fresh copy of k, because a launch fills in a nil Params. Verifying
-// prog stays with the caller.
+// a fresh copy of k, because a launch fills in a nil Params; Build
+// never touches its GPU, so a caller may pass nil to inspect that
+// kernel before any attempt. Verifying prog stays with the caller.
 func Inline(name string, prog *isa.Program, k sim.Kernel) *Benchmark {
 	k.Prog = prog
 	k.SharedBytes = max(k.SharedBytes, prog.SharedBytes)

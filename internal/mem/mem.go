@@ -240,36 +240,33 @@ func (p *Params) Load32(addr uint32) (uint32, error) {
 	return p.words[i], nil
 }
 
-// CoalesceSegments counts the distinct aligned segments of segBytes
-// touched by the active lanes' 4-byte accesses. This is the number of
-// memory transactions a Fermi-style coalescer issues, and the timing
-// model charges one LD/ST occupancy cycle per segment.
-func CoalesceSegments(addrs []uint32, active uint32, segBytes int) int {
-	if segBytes <= 0 {
-		segBytes = 128
-	}
-	// A warp has at most 32 lanes, so a fixed dedup buffer keeps the
-	// per-memory-instruction issue path allocation-free.
-	var segs [32]uint32
-	n := 0
+// SegmentBases returns the base addresses of the distinct aligned
+// segments of segBytes that the active lanes' 4-byte accesses touch, in
+// lane order: the memory transactions a Fermi-style coalescer issues.
+// The timing model probes the caches once per base and charges one
+// LD/ST occupancy cycle per segment. The bases are appended to buf[:0];
+// a warp has at most 32 lanes, so a buffer of capacity 32 keeps the
+// per-memory-instruction issue path allocation-free.
+func SegmentBases(buf, addrs []uint32, active uint32, segBytes int) []uint32 {
+	seg := uint32(segBytes)
+	bases := buf[:0]
 	for lane, a := range addrs {
 		if active&(1<<uint(lane)) == 0 {
 			continue
 		}
-		s := a / uint32(segBytes)
+		b := a / seg * seg
 		dup := false
-		for i := 0; i < n; i++ {
-			if segs[i] == s {
+		for _, x := range bases {
+			if x == b {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			segs[n] = s
-			n++
+			bases = append(bases, b)
 		}
 	}
-	return n
+	return bases
 }
 
 // BankConflictDegree returns the maximum number of active lanes mapping

@@ -149,29 +149,29 @@ func TestCoalesceSegments(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint32(4*i))
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 1 {
+	if n := len(SegmentBases(nil, addrs, all, 128)); n != 1 {
 		t.Errorf("unit-stride = %d segments, want 1", n)
 	}
 	// Stride 128: every lane its own segment.
 	for i := range addrs {
 		addrs[i] = uint32(128 * i)
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 32 {
+	if n := len(SegmentBases(nil, addrs, all, 128)); n != 32 {
 		t.Errorf("stride-128 = %d segments, want 32", n)
 	}
 	// Only active lanes count.
-	if n := CoalesceSegments(addrs, 0x1, 128); n != 1 {
+	if n := len(SegmentBases(nil, addrs, 0x1, 128)); n != 1 {
 		t.Errorf("single lane = %d segments, want 1", n)
 	}
-	if n := CoalesceSegments(addrs, 0, 128); n != 0 {
+	if n := len(SegmentBases(nil, addrs, 0, 128)); n != 0 {
 		t.Errorf("no lanes = %d segments, want 0", n)
 	}
-	// Broadcast: everyone loads the same word.
+	// Broadcast: everyone loads the same word, in the segment at 256.
 	for i := range addrs {
-		addrs[i] = 256
+		addrs[i] = 260
 	}
-	if n := CoalesceSegments(addrs, all, 128); n != 1 {
-		t.Errorf("broadcast = %d segments, want 1", n)
+	if b := SegmentBases(nil, addrs, all, 128); len(b) != 1 || b[0] != 256 {
+		t.Errorf("broadcast = bases %v, want [256]", b)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestAccessCostBoundsQuick(t *testing.T) {
 				active++
 			}
 		}
-		segs := CoalesceSegments(addrs, mask, 128)
+		segs := len(SegmentBases(nil, addrs, mask, 128))
 		deg := BankConflictDegree(addrs, mask, 32)
 		if segs < 0 || segs > active {
 			return false

@@ -346,11 +346,12 @@ func TestE2EErrors(t *testing.T) {
 	}
 
 	// A failing inline job reports failed status citing the job and its
-	// cause, whatever the retry budget: the kernel is assembled and
-	// verified once, before any attempt, so a retry never turns the
-	// diagnostic into a permanent-fault answer. A kernel whose
-	// shared-memory accesses race only across warps is verified at the
-	// job's launch geometry: at 64 threads it fails the verifier rule.
+	// cause, whatever the retry budget: the kernel is assembled,
+	// verified and checked against the machine once, before any attempt,
+	// so a retry never turns the diagnostic into a permanent-fault
+	// answer. A kernel whose shared-memory accesses race only across
+	// warps is verified at the job's launch geometry: at 64 threads it
+	// fails the verifier rule.
 	for _, tc := range []struct {
 		name  string
 		spec  *client.JobSpec
@@ -360,6 +361,8 @@ func TestE2EErrors(t *testing.T) {
 		{"bad assembly/retry 3", &client.JobSpec{Source: badSrc, Retry: 3}, `line 2: unknown mnemonic "bogus"`},
 		{"racy", &client.JobSpec{Source: racySrc, BlockX: 64}, "shared-race"},
 		{"racy/retry 3", &client.JobSpec{Source: racySrc, BlockX: 64, Retry: 3}, "shared-race"},
+		{"oversized block", &client.JobSpec{Source: tinySrc, BlockX: 4096}, "launch 0: sim: block of 4096 threads exceeds SM capacity 1024"},
+		{"oversized block/retry 3", &client.JobSpec{Source: tinySrc, BlockX: 4096, Retry: 3}, "launch 0: sim: block of 4096 threads exceeds SM capacity 1024"},
 	} {
 		resp, err := c.Submit(ctx, tc.spec)
 		if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"warped/internal/asm"
@@ -78,14 +79,14 @@ func (c *canonicalJob) execute(ctx context.Context, id string, reg *metrics.Regi
 }
 
 // workload is the job's workload: a bundled benchmark, or the inline
-// kernel, assembled and verified once per execution before any attempt
-// runs, so the retry budget never turns its diagnostic into a
-// permanent-fault answer. The source name is the job's content
-// address, so assembly and static-verification diagnostics point back
-// at the job that carried the bad kernel. The verifier checks the
-// job's launch geometry, as warpsim -kernel does, so the tid-aware
-// shared-bounds and race rules apply even when the kernel declares no
-// .block of its own.
+// kernel, assembled, verified and checked against the machine once per
+// execution before any attempt runs, so the retry budget never turns
+// its diagnostic into a permanent-fault answer. The source name is the
+// job's content address, so assembly, static-verification and
+// launch-configuration diagnostics point back at the job that carried
+// the bad kernel. The verifier checks the job's launch geometry, as
+// warpsim -kernel does, so the tid-aware shared-bounds and race rules
+// apply even when the kernel declares no .block of its own.
 func (c *canonicalJob) workload(id string) (*kernels.Benchmark, error) {
 	if c.Benchmark != "" {
 		return kernels.Lookup(c.Benchmark)
@@ -98,6 +99,16 @@ func (c *canonicalJob) workload(id string) (*kernels.Benchmark, error) {
 	if fs := verify.CheckWith(prog, verify.Options{BlockDimX: c.BlockX, BlockDimY: c.BlockY}); fs.Errors() > 0 {
 		return nil, &asm.VerifyError{File: name, Kernel: prog.Name, Findings: fs}
 	}
-	return kernels.Inline(name, prog, sim.Kernel{GridX: c.GridX, GridY: c.GridY, BlockX: c.BlockX, BlockY: c.BlockY,
-		SharedBytes: c.SharedBytes, Params: mem.NewParams(c.Params...)}), nil
+	b := kernels.Inline(name, prog, sim.Kernel{GridX: c.GridX, GridY: c.GridY, BlockX: c.BlockX, BlockY: c.BlockY,
+		SharedBytes: c.SharedBytes, Params: mem.NewParams(c.Params...)})
+	// Check the kernel Inline builds, its shared memory raised to the
+	// .shared directive, with the text its launch would fail with.
+	run, err := b.Build(nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := run.Steps[0].Kernel.Validate(c.Config); err != nil {
+		return nil, fmt.Errorf("%s: launch 0: %w", name, err)
+	}
+	return b, nil
 }

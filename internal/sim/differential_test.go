@@ -67,7 +67,7 @@ func refWalk(prog *isa.Program, mm exec.Mem) error {
 	if err != nil {
 		return err
 	}
-	m := exec.NewMachine(c, exec.Opts{SegBytes: 128, Banks: 32})
+	m := exec.NewMachine(c, exec.Opts{Banks: 32})
 	r := exec.NewRegs(prog.NumRegs)
 	var tid [32]uint32
 	for i := range tid {

@@ -97,7 +97,7 @@ type sm struct {
 
 	laneFor  [32]uint8  // thread slot -> physical lane (pre-resolved mapping)
 	regBanks int        // register banks per SIMT cluster (pre-resolved)
-	segBuf   [32]uint32 // scratch for segBases
+	segBuf   [32]uint32 // scratch for mem.SegmentBases
 	issueNow int64      // cycle of the in-flight Machine.Step (fault hook)
 	issuePC  int        // PC of the in-flight Machine.Step (PC-targeted faults)
 	kName    string     // kernel name, for PCFaultHook targeting
@@ -156,10 +156,9 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 		}
 	}
 	s.machine = exec.NewMachine(comp, exec.Opts{
-		SegBytes: g.Cfg.CoalesceBytes,
-		Banks:    g.Cfg.NumSharedBanks,
-		Metrics:  met.exec,
-		Perturb:  perturb,
+		Banks:   g.Cfg.NumSharedBanks,
+		Metrics: met.exec,
+		Perturb: perturb,
 	})
 	s.code = s.machine.Code()
 	var perturbPhys core.PerturbPhys
@@ -390,31 +389,6 @@ func (s *sm) latency(rec *exec.Record) int64 {
 	}
 }
 
-// segBases returns the distinct coalesced segment base addresses of a
-// memory record's active lanes, in an SM-owned scratch buffer valid
-// until the next call.
-func (s *sm) segBases(rec *exec.Record) []uint32 {
-	segBytes := uint32(s.cfg.CoalesceBytes)
-	bases := s.segBuf[:0]
-	for lane := 0; lane < 32; lane++ {
-		if !rec.Executing.Has(lane) {
-			continue
-		}
-		b := rec.Addrs[lane] / segBytes * segBytes
-		dup := false
-		for _, x := range bases {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			bases = append(bases, b)
-		}
-	}
-	return bases
-}
-
 // memCosts computes the writeback latency and LD/ST occupancy of a
 // memory record, probing the L1/L2 hierarchy and charging DRAM
 // bandwidth for the segments that reach memory.
@@ -426,7 +400,7 @@ func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 		// Fall out to the cache/DRAM path below.
 	}
 
-	bases := s.segBases(rec)
+	bases := mem.SegmentBases(s.segBuf[:0], rec.Addrs[:], uint32(rec.Executing), s.cfg.CoalesceBytes)
 	occ = int64(len(bases))
 	if occ < 1 {
 		occ = 1
