@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the warpd daemon
-// (cmd/warpd): submit simulation jobs, poll their status, and fetch
-// deterministic results over the HTTP/JSON API documented in
+// (cmd/warpd): submit simulation jobs, wait for them to finish, and
+// fetch deterministic results over the HTTP/JSON API documented in
 // docs/SERVICE.md.
 //
 // Quick start:
@@ -13,7 +13,8 @@
 // Submit retries transparently on backpressure (HTTP 429, honouring
 // Retry-After) and transient transport failures with capped
 // exponential backoff; a draining daemon (503) and spec errors (4xx)
-// fail fast.
+// fail fast. Wait long-polls the job's status, so it returns as soon
+// as the daemon finishes the job rather than on a polling timer.
 package client
 
 import (
@@ -80,7 +81,8 @@ type Client struct {
 	// capped at 32x (default 100ms). A server Retry-After overrides it.
 	Backoff time.Duration
 
-	// PollInterval is Wait's status-poll cadence (default 50ms).
+	// PollInterval is how long Wait pauses after a status answer that
+	// is not final, before it asks again (default 50ms).
 	PollInterval time.Duration
 
 	// RequestTimeout, when positive, bounds each individual HTTP
@@ -167,7 +169,7 @@ func (c *Client) Submit(ctx context.Context, spec *JobSpec) (*SubmitResponse, er
 	return nil, fmt.Errorf("client: submit gave up after %d retries: %w", retries, lastErr)
 }
 
-// Status polls one job's lifecycle state.
+// Status reads one job's lifecycle state, without waiting.
 func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error) {
 	resp, err := c.get(ctx, "/v1/jobs/"+id)
 	if err != nil {
@@ -200,19 +202,26 @@ func (c *Client) Result(ctx context.Context, id string) (*ResultResponse, error)
 	return &out, nil
 }
 
-// Wait polls until the job finishes and returns its result; a failed
-// job returns the daemon's error as *APIError. A 429 answer to the
-// status poll (a loaded daemon shedding read traffic) is not fatal:
-// Wait honors its Retry-After and keeps polling. The loop is bounded
-// only by ctx — cancelling it returns promptly from inside any backoff
-// sleep.
+// Wait blocks until the job finishes and returns its result; a failed
+// job returns the daemon's error as *APIError. Each status request is a
+// long-poll (?wait=D) that the daemon answers when the job finishes, so
+// Wait returns as soon as it does. D is the daemon's 30 s cap, lowered
+// to half of RequestTimeout and half of the http.Client's Timeout when
+// those are set, so that a long-poll never reads as a failed exchange.
+// A status answer that is not final (the wait expired, or the daemon
+// ignores it) is asked again after PollInterval. A 429 answer (a loaded
+// daemon shedding read traffic) is not fatal: Wait honors its
+// Retry-After and asks again. The loop is bounded only by ctx —
+// cancelling it returns promptly, from inside a long-poll or a backoff
+// sleep alike.
 func (c *Client) Wait(ctx context.Context, id string) (*ResultResponse, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
+	path := "/v1/jobs/" + id + "?wait=" + c.longPoll().String()
 	for {
-		resp, err := c.get(ctx, "/v1/jobs/"+id)
+		resp, err := c.get(ctx, path)
 		if err != nil {
 			return nil, err
 		}
@@ -243,6 +252,19 @@ func (c *Client) Wait(ctx context.Context, id string) (*ResultResponse, error) {
 			return nil, err
 		}
 	}
+}
+
+// longPoll is how long Wait asks the daemon to hold each status
+// request: its cap, or half of any per-exchange deadline below it.
+func (c *Client) longPoll() time.Duration {
+	d := service.MaxWait
+	if c.RequestTimeout > 0 {
+		d = min(d, c.RequestTimeout/2)
+	}
+	if c.http.Timeout > 0 {
+		d = min(d, c.http.Timeout/2)
+	}
+	return d
 }
 
 // Ready reports whether the daemon is accepting jobs (readiness

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"warped/internal/service"
 )
 
 // TestNewTrailingSlash: a base URL with a trailing slash must produce
@@ -73,6 +76,89 @@ func TestWaitHonors429RetryAfter(t *testing.T) {
 	}
 	if got := time.Duration(retryAfterSeen.Load()); got < 900*time.Millisecond {
 		t.Errorf("repoll after %v, want >= ~1s (the advertised Retry-After)", got)
+	}
+}
+
+// TestWaitLongPollFitsDeadlines: every status request Wait sends
+// carries a wait that fits inside the client's per-exchange deadlines,
+// so a long-poll never reads as a failed exchange.
+func TestWaitLongPollFitsDeadlines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		new  func(base string) *Client
+		max  time.Duration
+	}{
+		{"RequestTimeout 2s", func(base string) *Client {
+			c := New(base)
+			c.RequestTimeout = 2 * time.Second
+			return c
+		}, time.Second},
+		{"New defaults", New, 15 * time.Second},
+		{"no deadline", func(base string) *Client {
+			return NewWithHTTPClient(base, &http.Client{})
+		}, service.MaxWait},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wait atomic.Value
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/jobs/j4":
+					wait.Store(r.URL.Query().Get("wait"))
+					_ = json.NewEncoder(w).Encode(map[string]string{"id": "j4", "status": "done"})
+				case "/v1/jobs/j4/result":
+					_ = json.NewEncoder(w).Encode(map[string]any{"id": "j4", "stats": map[string]any{}})
+				}
+			}))
+			defer ts.Close()
+			if _, err := tc.new(ts.URL).Wait(context.Background(), "j4"); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			v, _ := wait.Load().(string)
+			if d, err := time.ParseDuration(v); err != nil || d <= 0 || d > tc.max {
+				t.Errorf("wait = %q, want a duration in (0, %v]", v, tc.max)
+			}
+		})
+	}
+}
+
+// TestWaitRepollsAfterPollInterval: a daemon that ignores the wait and
+// answers "running" at once is asked again after PollInterval, not in
+// a hot loop.
+func TestWaitRepollsAfterPollInterval(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	var mu sync.Mutex
+	var polls []time.Time
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs/j5/result" {
+			_ = json.NewEncoder(w).Encode(map[string]any{"id": "j5", "stats": map[string]any{}})
+			return
+		}
+		mu.Lock()
+		polls = append(polls, time.Now())
+		n := len(polls)
+		mu.Unlock()
+		status := "running"
+		if n == 4 {
+			status = "done"
+		}
+		_ = json.NewEncoder(w).Encode(map[string]string{"id": "j5", "status": status})
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.PollInterval = interval
+	if _, err := c.Wait(context.Background(), "j5"); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(polls) != 4 {
+		t.Fatalf("%d status requests, want 4", len(polls))
+	}
+	for i := 1; i < len(polls); i++ {
+		if gap := polls[i].Sub(polls[i-1]); gap < interval {
+			t.Errorf("status request %d came %v after the last, want >= %v", i+1, gap, interval)
+		}
 	}
 }
 

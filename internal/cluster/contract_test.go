@@ -42,7 +42,7 @@ func (e *heldExecutor) run(spec *service.JobSpec) (*service.JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.worker.Wait(resp.ID)
+	e.worker.Wait(context.Background(), resp.ID, time.Minute)
 	if r, _ := e.worker.Result(resp.ID); r != nil {
 		return &r.JobResult, nil
 	}

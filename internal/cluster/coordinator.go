@@ -57,7 +57,9 @@ type Options struct {
 
 	// RequestTimeout bounds each individual HTTP exchange with a
 	// worker (default 10s). It caps how long a hung worker can stall a
-	// dispatch or a probe, without capping total job wall time.
+	// dispatch or a probe, without capping total job wall time: a
+	// dispatch's status long-poll waits at most half of it, then asks
+	// again (client.Wait).
 	RequestTimeout time.Duration
 
 	// HTTPClient, when non-nil, carries every worker exchange so the
@@ -149,7 +151,6 @@ func New(opts Options) *Coordinator {
 		c.RequestTimeout = reqTimeout
 		c.MaxRetries = 2
 		c.Backoff = 50 * time.Millisecond
-		c.PollInterval = 25 * time.Millisecond
 		re.clients[w] = c
 		// Workers start on the ring optimistically; the prober (and any
 		// failed dispatch) ejects the ones that turn out to be down.
@@ -291,7 +292,9 @@ func (re *ringExecutor) dispatch(hash string, spec *service.JobSpec) (*service.J
 	}
 }
 
-// attempt runs spec to completion on one worker.
+// attempt runs spec to completion on one worker. Its Wait long-polls
+// the worker, so it holds one worker connection while the job runs and
+// returns as soon as the job finishes.
 func (re *ringExecutor) attempt(ctx context.Context, worker string, spec *service.JobSpec) attemptOutcome {
 	c := re.clients[worker]
 	resp, err := c.Submit(ctx, spec)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,8 +55,16 @@ func newWrappedWorker(t *testing.T, opt service.Options, wrap func(http.Handler)
 // cancelled while the test servers still accept connections.
 func newCoordinator(t *testing.T, opts cluster.Options) (*cluster.Coordinator, *client.Client) {
 	t.Helper()
+	return newWrappedCoordinator(t, opts, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedCoordinator is newCoordinator with the coordinator's
+// handler wrapped, so a test can intercept the requests its clients
+// send it.
+func newWrappedCoordinator(t *testing.T, opts cluster.Options, wrap func(http.Handler) http.Handler) (*cluster.Coordinator, *client.Client) {
+	t.Helper()
 	co := cluster.New(opts)
-	ts := httptest.NewServer(co.Handler())
+	ts := httptest.NewServer(wrap(co.Handler()))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -105,6 +114,50 @@ func TestClusterStatsMatchDirectRun(t *testing.T) {
 	if res.Attempts != direct.Attempts || res.Detections != direct.Detections {
 		t.Errorf("bookkeeping differs: cluster {%d %d}, direct {%d %d}",
 			res.Attempts, res.Detections, direct.Attempts, direct.Detections)
+	}
+}
+
+// TestClusterLongPollExchanges: a fresh job through a coordinator takes
+// one status exchange on each hop, client to coordinator and
+// coordinator to worker, because each is a long-poll that answers when
+// the job finishes.
+func TestClusterLongPollExchanges(t *testing.T) {
+	countStatus := func(n *atomic.Int32) func(http.Handler) http.Handler {
+		return func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") &&
+					!strings.HasSuffix(r.URL.Path, "/result") {
+					n.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		}
+	}
+	var workerStatus, clientStatus atomic.Int32
+	w, _ := newWrappedWorker(t, service.Options{Workers: 1, QueueDepth: 4}, countStatus(&workerStatus))
+	_, c := newWrappedCoordinator(t, cluster.Options{
+		Workers: []string{w.URL},
+		// A worker long-poll waits half of this: 30 s outlasts the job
+		// even on a loaded machine under the race detector.
+		RequestTimeout: time.Minute,
+		ProbeInterval:  time.Hour,
+	}, countStatus(&clientStatus))
+	ctx := context.Background()
+	resp, err := c.Submit(ctx, &client.JobSpec{Benchmark: "SHA"})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if resp.Cached {
+		t.Fatalf("Submit = %+v, want a fresh job", resp)
+	}
+	if _, err := c.Wait(ctx, resp.ID); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := workerStatus.Load(); got != 1 {
+		t.Errorf("coordinator sent its worker %d status requests, want 1", got)
+	}
+	if got := clientStatus.Load(); got != 1 {
+		t.Errorf("client sent the coordinator %d status requests, want 1", got)
 	}
 }
 

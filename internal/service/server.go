@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -288,15 +289,11 @@ func (s *Server) Submit(spec *JobSpec) (*SubmitResponse, error) {
 		return resp, nil
 	}
 	if res != nil {
-		j := &Job{s: s, id: id, hash: hash, state: stateDone, result: res, done: make(chan struct{})}
-		close(j.done)
-		j.elem = s.lru.PushFront(j)
-		s.jobs[id] = j
-		s.evictLocked()
+		s.retainLocked(id, hash, res)
 		s.met.JobsSubmitted.Inc()
 		s.met.CacheHits.Inc()
 		s.met.StoreHits.Inc()
-		return &SubmitResponse{ID: id, Status: j.state.String(), Cached: true}, nil
+		return &SubmitResponse{ID: id, Status: stateDone.String(), Cached: true}, nil
 	}
 	if s.draining {
 		s.met.JobsRejected.Inc()
@@ -343,46 +340,100 @@ func (s *Server) lookupLocked(id string) *SubmitResponse {
 	return nil
 }
 
-// Status reports a job's lifecycle state; false when the ID is neither
-// in flight nor retained.
+// MaxWait caps how long one status request waits for its job
+// (GET /v1/jobs/{id}?wait=D).
+const MaxWait = 30 * time.Second
+
+// Status reports a job's lifecycle state now; false when the ID is
+// neither in flight, nor retained, nor a success in the durable store.
 func (s *Server) Status(id string) (*StatusResponse, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	return s.Wait(context.Background(), id, 0)
+}
+
+// Wait reports a job's lifecycle state once the job finishes, d passes
+// or ctx ends, whichever comes first; a finished job, or d <= 0,
+// answers at once. It reads the entry it found even if the LRU evicts
+// it meanwhile. False when Status would be.
+func (s *Server) Wait(ctx context.Context, id string, d time.Duration) (*StatusResponse, bool) {
+	j := s.entry(id)
+	if j == nil {
 		return nil, false
 	}
+	if d > 0 {
+		select {
+		case <-j.done:
+		default:
+			t := time.NewTimer(d)
+			select {
+			case <-j.done:
+			case <-t.C:
+			case <-ctx.Done():
+			}
+			t.Stop()
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return &StatusResponse{ID: j.id, Status: j.state.String(), Error: j.errMsg}, true
 }
 
-// Result returns a done job's result. The boolean reports existence;
-// a nil response with existence means the job is not done yet (still
-// queued/running, or failed — check Status).
+// Result returns a done job's result. The boolean reports existence, as
+// Status does; a nil response with existence means the job is not done
+// yet (still queued/running, or failed — check Status).
 func (s *Server) Result(id string) (*ResultResponse, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.entry(id)
+	if j == nil {
 		return nil, false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if j.state != stateDone {
 		return nil, true
 	}
-	s.lru.MoveToFront(j.elem)
+	if j.elem != nil {
+		s.lru.MoveToFront(j.elem)
+	}
 	return &ResultResponse{ID: j.id, JobResult: *j.result}, true
 }
 
-// Wait blocks until the job finishes (done or failed); false when the
-// ID is unknown.
-func (s *Server) Wait(id string) bool {
+// entry finds a job: in flight or retained in the table, or else a
+// success the LRU has evicted, which re-enters the table from the
+// durable store as a done entry, as a Submit store hit does, but
+// counting nothing: no submission was made. nil when neither tier
+// knows the ID; a failed job is never stored, so once evicted it is
+// unknown.
+func (s *Server) entry(id string) *Job {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
-		return false
+	if j != nil || s.store == nil {
+		return j
 	}
-	<-j.done
-	return true
+	hash, ok := s.store.Resolve(strings.TrimPrefix(id, "j"))
+	if !ok || IDFromHash(hash) != id {
+		return nil
+	}
+	res := s.storeGet(hash)
+	if res == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		return j
+	}
+	return s.retainLocked(id, hash, res)
+}
+
+// retainLocked enters a result read from the durable store as a done
+// entry at the front of the LRU. Caller holds s.mu.
+func (s *Server) retainLocked(id, hash string, res *JobResult) *Job {
+	j := &Job{s: s, id: id, hash: hash, state: stateDone, result: res, done: make(chan struct{})}
+	close(j.done)
+	j.elem = s.lru.PushFront(j)
+	s.jobs[id] = j
+	s.evictLocked()
+	return j
 }
 
 // Occupancy counts the table's entries: jobs admitted and not yet
@@ -521,14 +572,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleStatus answers a job's state. With ?wait=D it is a long-poll:
+// a queued or running job answers when it finishes, when D (capped at
+// MaxWait) has passed, or when the request ends.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	resp, ok := s.Status(id)
+	d, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	resp, ok := s.Wait(r.Context(), id, d)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// parseWait reads a status request's wait parameter: a Go duration
+// such as 5s or 500ms, clamped to MaxWait; empty means no wait.
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("service: invalid wait %q: want a non-negative duration such as 5s", v)
+	}
+	return min(d, MaxWait), nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -27,6 +27,7 @@ import (
 	"warped/internal/fault"
 	"warped/internal/isa"
 	"warped/internal/kernels"
+	"warped/internal/store"
 )
 
 // JobSpec is the wire form of one simulation job, as POSTed to
@@ -258,10 +259,11 @@ func (c *canonicalJob) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// IDFromHash shortens a content hash into the wire job ID.
+// IDFromHash shortens a content hash into the wire job ID: "j" and the
+// hash's short address in the durable store.
 func IDFromHash(hash string) string {
-	if len(hash) > 16 {
-		hash = hash[:16]
+	if len(hash) > store.ShortKeyLen {
+		hash = hash[:store.ShortKeyLen]
 	}
 	return "j" + hash
 }

@@ -3,10 +3,13 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"warped/client"
 	"warped/internal/metrics"
@@ -92,7 +95,7 @@ func TestStoreCorruptEntryReExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1.Wait(resp.ID)
+	srv1.Wait(ctx, resp.ID, time.Minute)
 	if err := srv1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +137,87 @@ func TestStoreCorruptEntryReExecutes(t *testing.T) {
 	if resp2.Cached {
 		t.Fatal("corrupted store entry was served as a cache hit")
 	}
-	srv2.Wait(resp2.ID)
+	srv2.Wait(ctx, resp2.ID, time.Minute)
 	if got := reg.Snapshot().Counters["service.jobs_executed_total"]; got != 1 {
 		t.Errorf("jobs_executed_total = %d, want 1 (re-executed past corruption)", got)
 	}
 	if got := reg.Snapshot().Counters["store.corrupt_entries_total"]; got != 1 {
 		t.Errorf("store.corrupt_entries_total = %d, want 1", got)
+	}
+}
+
+// TestEvictedJobAnswersFromStore: a success the LRU has evicted answers
+// its status and result from the durable store, byte for byte, without
+// moving a job-table counter. Without a store, or for a failed job
+// (never stored), the evicted ID is unknown.
+func TestEvictedJobAnswersFromStore(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		store    bool
+		spec     *client.JobSpec
+		wantCode int
+	}{
+		{"done, with a store", true, &client.JobSpec{Source: tinySrc}, http.StatusOK},
+		{"done, no store", false, &client.JobSpec{Source: tinySrc}, http.StatusNotFound},
+		{"failed, with a store", true, &client.JobSpec{Source: ".kernel bad\n\tbogus r0\n"}, http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := service.Options{Workers: 1, QueueDepth: 4, CacheEntries: 1, Metrics: metrics.New()}
+			if tc.store {
+				opt.Store = openStore(t, t.TempDir())
+			}
+			_, c, ts := newTestDaemon(t, opt)
+			get := func(path string) (int, string) {
+				t.Helper()
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, string(body)
+			}
+			a, err := c.Submit(ctx, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = c.Wait(ctx, a.ID)
+			_, first := get("/v1/jobs/" + a.ID + "/result")
+			// A second job evicts the first from the one-entry LRU.
+			b, err := c.Submit(ctx, &client.JobSpec{Source: tinySrc, Params: []uint32{1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Wait(ctx, b.ID); err != nil {
+				t.Fatal(err)
+			}
+
+			before := opt.Metrics.Snapshot().Counters
+			code, status := get("/v1/jobs/" + a.ID)
+			if code != tc.wantCode {
+				t.Fatalf("status of the evicted job = %d %s, want %d", code, status, tc.wantCode)
+			}
+			if code != http.StatusOK {
+				return
+			}
+			if want := `{"id":"` + a.ID + `","status":"done"}`; strings.TrimSpace(status) != want {
+				t.Errorf("status = %s, want %s", status, want)
+			}
+			if code, again := get("/v1/jobs/" + a.ID + "/result"); code != http.StatusOK || again != first {
+				t.Errorf("result from the store = %d %s\nwant 200 %s", code, again, first)
+			}
+			after := opt.Metrics.Snapshot().Counters
+			for _, name := range []string{"jobs_submitted_total", "cache_hits_total", "store_hits_total",
+				"cache_misses_total", "cache_coalesced_total", "jobs_executed_total"} {
+				if name = "service." + name; after[name] != before[name] {
+					t.Errorf("%s moved %d -> %d on a status and result read", name, before[name], after[name])
+				}
+			}
+		})
 	}
 }
 
@@ -165,7 +243,7 @@ func TestSpecKeyMatchesSubmitID(t *testing.T) {
 	if resp.ID != id {
 		t.Errorf("Submit assigned %s, SpecKey computed %s", resp.ID, id)
 	}
-	srv.Wait(resp.ID)
+	srv.Wait(context.Background(), resp.ID, time.Minute)
 }
 
 // TestResultEncoding pins the bytes of a store payload and of a result

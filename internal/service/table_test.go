@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"testing"
+	"time"
 
 	"warped/internal/store"
 )
@@ -26,7 +27,7 @@ func TestFinishedEntryKeepsOnlyTheAnswer(t *testing.T) {
 		if resp.Cached != wantCached {
 			t.Fatalf("Submit = %+v, want cached %v", resp, wantCached)
 		}
-		s.Wait(resp.ID)
+		s.Wait(context.Background(), resp.ID, time.Minute)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.jobs[resp.ID]

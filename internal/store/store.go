@@ -43,6 +43,10 @@ type envelope struct {
 // it and old files read as misses instead of misparses.
 const envelopeVersion = 1
 
+// ShortKeyLen is the length of a short address, the key prefix Resolve
+// takes. A job ID carries one (service.IDFromHash).
+const ShortKeyLen = 16
+
 // entry is the in-memory index record of one stored file.
 type entry struct {
 	size int64  // file size on disk, the unit the GC budget counts
@@ -73,6 +77,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	index   map[string]*entry
+	short   map[string]string // key[:ShortKeyLen] -> key, for Resolve
 	bytes   int64
 	nextSeq uint64
 }
@@ -96,6 +101,7 @@ func Open(opt Options) (*Store, error) {
 		maxBytes: maxBytes,
 		met:      metrics.ForStore(opt.Metrics),
 		index:    make(map[string]*entry),
+		short:    make(map[string]string),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -148,9 +154,7 @@ func (s *Store) load() error {
 		return files[i].key < files[j].key
 	})
 	for _, f := range files {
-		s.nextSeq++
-		s.index[f.key] = &entry{size: f.size, seq: s.nextSeq}
-		s.bytes += f.size
+		s.indexLocked(f.key, f.size)
 	}
 	s.gcLocked()
 	s.publishLocked()
@@ -158,11 +162,11 @@ func (s *Store) load() error {
 }
 
 // validKey reports whether key is a plausible content hash: lowercase
-// hex, at least 16 characters. The store does not insist on full
-// SHA-256 length so callers may key on a shortened address, but
+// hex, at least ShortKeyLen characters. The store does not insist on
+// full SHA-256 length so callers may key on a shortened address, but
 // anything non-hex is rejected (and cleaned up at load).
 func validKey(key string) bool {
-	if len(key) < 16 || len(key) > 128 {
+	if len(key) < ShortKeyLen || len(key) > 128 {
 		return false
 	}
 	for i := 0; i < len(key); i++ {
@@ -216,10 +220,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // as both a corruption and (for the caller's purposes) a miss.
 func (s *Store) dropCorrupt(key string) {
 	s.mu.Lock()
-	if e, ok := s.index[key]; ok {
-		delete(s.index, key)
-		s.bytes -= e.size
-	}
+	s.unindexLocked(key)
 	s.publishLocked()
 	s.mu.Unlock()
 	_ = os.Remove(s.path(key))
@@ -285,9 +286,7 @@ func (s *Store) Put(key string, payload []byte) error {
 
 	s.mu.Lock()
 	if _, ok := s.index[key]; !ok {
-		s.nextSeq++
-		s.index[key] = &entry{size: int64(len(data)), seq: s.nextSeq}
-		s.bytes += int64(len(data))
+		s.indexLocked(key, int64(len(data)))
 	}
 	s.gcLocked()
 	s.publishLocked()
@@ -315,12 +314,42 @@ func (s *Store) gcLocked() {
 		if s.bytes <= s.maxBytes {
 			break
 		}
-		e := s.index[a.key]
-		delete(s.index, a.key)
-		s.bytes -= e.size
+		s.unindexLocked(a.key)
 		_ = os.Remove(s.path(a.key))
 		s.met.GCEvictions.Inc()
 	}
+}
+
+// indexLocked records a stored file as the most recently used entry.
+// Caller holds s.mu.
+func (s *Store) indexLocked(key string, size int64) {
+	s.nextSeq++
+	s.index[key] = &entry{size: size, seq: s.nextSeq}
+	s.short[key[:ShortKeyLen]] = key
+	s.bytes += size
+}
+
+// unindexLocked forgets key, if it is indexed. Caller holds s.mu.
+func (s *Store) unindexLocked(key string) {
+	e, ok := s.index[key]
+	if !ok {
+		return
+	}
+	delete(s.index, key)
+	if s.short[key[:ShortKeyLen]] == key {
+		delete(s.short, key[:ShortKeyLen])
+	}
+	s.bytes -= e.size
+}
+
+// Resolve returns the stored key whose first ShortKeyLen characters are
+// prefix. It reads only the in-memory index, so an address nobody
+// stored costs one map lookup and no disk access.
+func (s *Store) Resolve(prefix string) (key string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key, ok = s.short[prefix]
+	return key, ok
 }
 
 // publishLocked refreshes the footprint gauges. Caller holds s.mu.

@@ -88,6 +88,45 @@ func TestReopenRecovers(t *testing.T) {
 	}
 }
 
+// TestResolve: a short address resolves to the stored key it prefixes,
+// after a reopen too, and stops resolving once the entry is gone.
+func TestResolve(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, MaxBytes: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := func(i int) string { return fmt.Sprintf("%016x", 0xabc000+i) + strings.Repeat("0", 48) }
+	if err := s.Put(long(1), []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	short := long(1)[:ShortKeyLen]
+	if got, ok := s.Resolve(short); !ok || got != long(1) {
+		t.Errorf("Resolve(%s) = %q, %v; want %s", short, got, ok, long(1))
+	}
+	for _, miss := range []string{long(2)[:ShortKeyLen], short[:8], long(1), ""} {
+		if got, ok := s.Resolve(miss); ok {
+			t.Errorf("Resolve(%q) = %q, want a miss", miss, got)
+		}
+	}
+	reopened, err := Open(Options{Dir: dir, MaxBytes: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reopened.Resolve(short); !ok || got != long(1) {
+		t.Errorf("reopened Resolve(%s) = %q, %v; want %s", short, got, ok, long(1))
+	}
+	// Two more entries push the first out of the 400-byte budget.
+	for i := 2; i <= 3; i++ {
+		if err := reopened.Put(long(i), []byte(`{"x":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := reopened.Resolve(short); ok {
+		t.Errorf("Resolve(%s) = %q after GC evicted it, want a miss", short, got)
+	}
+}
+
 // TestCorruptionReadAsMiss: a flipped byte on disk must never surface
 // as a payload — the read re-verifies the checksum, drops the entry,
 // and reports a miss.
