@@ -21,8 +21,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -78,13 +76,12 @@ func main() {
 		reg = metrics.New()
 	}
 	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
+		addr, err := metrics.ServeDebug(*pprofAddr, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -pprof: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: debug server on http://%s/debug/pprof/\n", ln.Addr())
-		go func() { _ = http.Serve(ln, metrics.Handler(reg)) }()
+		fmt.Fprintf(os.Stderr, "experiments: debug server on http://%s/debug/pprof/\n", addr)
 	}
 
 	e := &experiments.Engine{Workers: *parallel, Metrics: reg}
@@ -192,14 +189,7 @@ func main() {
 			fmt.Fprint(os.Stderr, snap.String())
 		}
 		if *metricsTo != "" {
-			f, err := os.Create(*metricsTo)
-			if err == nil {
-				err = snap.WriteJSONL(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := snap.WriteFile(*metricsTo); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: -metrics-out: %v\n", err)
 				os.Exit(1)
 			}

@@ -149,7 +149,7 @@ func run(d daemon, reg *metrics.Registry, addr string, drainWait time.Duration, 
 		fmt.Fprintf(os.Stderr, "warpd: http shutdown: %v\n", err)
 	}
 	if metricsTo != "" {
-		if err := writeMetrics(reg, metricsTo); err != nil {
+		if err := reg.Snapshot().WriteFile(metricsTo); err != nil {
 			fmt.Fprintf(os.Stderr, "warpd: %v\n", err)
 		}
 	}
@@ -158,17 +158,4 @@ func run(d daemon, reg *metrics.Registry, addr string, drainWait time.Duration, 
 	}
 	fmt.Println("warpd: drained, exiting")
 	return nil
-}
-
-// writeMetrics flushes the final snapshot as JSON Lines.
-func writeMetrics(reg *metrics.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.Snapshot().WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

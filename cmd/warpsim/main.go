@@ -19,8 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -33,6 +31,7 @@ import (
 	"warped/internal/asm"
 	"warped/internal/isa"
 	"warped/internal/kernels"
+	"warped/internal/metrics"
 	"warped/internal/stats"
 	"warped/internal/trace"
 	"warped/internal/verify"
@@ -164,13 +163,12 @@ func serveDebug(reg *warped.Metrics, addr string) {
 	if addr == "" {
 		return
 	}
-	ln, err := net.Listen("tcp", addr)
+	bound, err := metrics.ServeDebug(addr, reg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "warpsim: -pprof: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "warpsim: debug server on http://%s/debug/pprof/\n", ln.Addr())
-	go func() { _ = http.Serve(ln, warped.MetricsHandler(reg)) }()
+	fmt.Fprintf(os.Stderr, "warpsim: debug server on http://%s/debug/pprof/\n", bound)
 }
 
 // emitMetrics renders the post-run snapshot: human-readable to stdout
@@ -185,15 +183,7 @@ func emitMetrics(reg *warped.Metrics, print bool, out string) error {
 		fmt.Print(snap.String())
 	}
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := snap.WriteJSONL(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", out, err)
-		}
-		return f.Close()
+		return snap.WriteFile(out)
 	}
 	return nil
 }
@@ -396,47 +386,7 @@ func runLint(args []string) int {
 	}
 	files := lintFlags.Args()
 
-	type target struct {
-		file   string
-		kernel string
-		prog   *isa.Program
-	}
-	var targets []target
-	status := 0
-	if len(files) == 0 {
-		for _, s := range kernels.Sources() {
-			p, err := asm.Assemble(s.Src)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", s.File, err)
-				status = 2
-				continue
-			}
-			targets = append(targets, target{s.File, s.Name, p})
-		}
-	} else {
-		for _, path := range files {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "warpsim lint: %v\n", err)
-				status = 2
-				continue
-			}
-			progs, err := asm.AssembleModule(string(src))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-				status = 2
-				continue
-			}
-			names := make([]string, 0, len(progs))
-			for name := range progs {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				targets = append(targets, target{path, name, progs[name]})
-			}
-		}
-	}
+	targets, status := loadTargets("warpsim lint", files)
 
 	records := []lintRecord{} // non-nil so -json prints [] when clean
 	for _, tg := range targets {
@@ -475,4 +425,56 @@ func runLint(args []string) int {
 		}
 	}
 	return status
+}
+
+// target is one kernel to check: the file it came from, its name and
+// its program.
+type target struct {
+	file   string
+	kernel string
+	prog   *isa.Program
+}
+
+// loadTargets returns the kernels of files, or with no files every
+// bundled kernel, in file then kernel-name order. Each input that
+// cannot be read or assembled is reported on stderr, a read error
+// prefixed with cmd, and makes the status 2; otherwise it is 0.
+func loadTargets(cmd string, files []string) ([]target, int) {
+	var targets []target
+	status := 0
+	if len(files) == 0 {
+		for _, s := range kernels.Sources() {
+			p, err := s.Program()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", s.File, err)
+				status = 2
+				continue
+			}
+			targets = append(targets, target{s.File, s.Name, p})
+		}
+		return targets, status
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+			status = 2
+			continue
+		}
+		progs, err := asm.AssembleModule(string(src))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+			status = 2
+			continue
+		}
+		names := make([]string, 0, len(progs))
+		for name := range progs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			targets = append(targets, target{path, name, progs[name]})
+		}
+	}
+	return targets, status
 }

@@ -5,12 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"warped"
-	"warped/internal/asm"
-	"warped/internal/isa"
-	"warped/internal/kernels"
 	"warped/internal/metrics"
 	"warped/internal/verify"
 )
@@ -61,47 +57,7 @@ func runVuln(args []string) int {
 	}
 	files := vulnFlags.Args()
 
-	type target struct {
-		file   string
-		kernel string
-		prog   *isa.Program
-	}
-	var targets []target
-	status := 0
-	if len(files) == 0 {
-		for _, s := range kernels.Sources() {
-			p, err := asm.Assemble(s.Src)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", s.File, err)
-				status = 2
-				continue
-			}
-			targets = append(targets, target{s.File, s.Name, p})
-		}
-	} else {
-		for _, path := range files {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "warpsim vuln: %v\n", err)
-				status = 2
-				continue
-			}
-			progs, err := asm.AssembleModule(string(src))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-				status = 2
-				continue
-			}
-			names := make([]string, 0, len(progs))
-			for name := range progs {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				targets = append(targets, target{path, name, progs[name]})
-			}
-		}
-	}
+	targets, status := loadTargets("warpsim vuln", files)
 
 	var reg *warped.Metrics
 	if *metricsTo != "" {
@@ -161,17 +117,7 @@ func runVuln(args []string) int {
 		}
 	}
 	if *metricsTo != "" {
-		f, err := os.Create(*metricsTo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "warpsim vuln: %v\n", err)
-			return 2
-		}
-		if err := reg.Snapshot().WriteJSONL(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "warpsim vuln: write %s: %v\n", *metricsTo, err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := reg.Snapshot().WriteFile(*metricsTo); err != nil {
 			fmt.Fprintf(os.Stderr, "warpsim vuln: %v\n", err)
 			return 2
 		}

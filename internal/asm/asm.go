@@ -237,8 +237,9 @@ func assemble(src string) (*isa.Program, error) {
 	return p, nil
 }
 
-// MustAssemble assembles src and panics on error. Intended for the
-// built-in kernels, whose sources are compile-time constants.
+// MustAssemble assembles src and panics on error. Intended for tests,
+// whose sources are constants; the bundled kernels return their
+// assembly errors instead.
 func MustAssemble(src string) *isa.Program {
 	p, err := Assemble(src)
 	if err != nil {

@@ -207,6 +207,14 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 						}
 					}
 				}},
+				{"too many faults is 400", func(t *testing.T) {
+					spec := `{"benchmark":"SHA","faults":{"random":2000000,"kind":"transient"},"seed":7}`
+					code, _, out := call(t, http.MethodPost, "/v1/jobs", spec)
+					msg, _ := out["error"].(string)
+					if code != http.StatusBadRequest || !strings.Contains(msg, "2000000 random") || !strings.Contains(msg, "limit of 64") {
+						t.Errorf("2000000 random faults = %d %q, want 400 naming the count and the limit", code, msg)
+					}
+				}},
 				{"resubmit after done is cached", func(t *testing.T) {
 					once.Do(func() { close(release) })
 					waitFor(t, id, "done")

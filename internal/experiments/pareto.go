@@ -142,7 +142,7 @@ func synthesized(bs []*kernels.Benchmark) ([]arch.Policy, error) {
 	policies := make([]arch.Policy, len(bs))
 	for bi, b := range bs {
 		policies[bi] = arch.Policy{Kind: arch.PolicyFull}
-		progs, err := benchPrograms(b)
+		progs, err := b.Programs()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: synth sweep %s: %w", b.Name, err)
 		}

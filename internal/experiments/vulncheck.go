@@ -8,7 +8,6 @@ import (
 
 	"warped/internal/arch"
 	"warped/internal/fault"
-	"warped/internal/isa"
 	"warped/internal/kernels"
 	"warped/internal/metrics"
 	"warped/internal/runner"
@@ -82,34 +81,10 @@ func (e *Engine) VulnCheck(ctx context.Context) (*VulnCheckResult, error) {
 	return out, nil
 }
 
-// benchPrograms builds b on a scratch GPU and returns its distinct
-// kernel programs in launch order.
-func benchPrograms(b *kernels.Benchmark) ([]*isa.Program, error) {
-	g, err := sim.New(arch.PaperConfig(), 0)
-	if err != nil {
-		return nil, err
-	}
-	run, err := b.Build(g)
-	if err != nil {
-		return nil, err
-	}
-	var progs []*isa.Program
-	seen := map[string]bool{}
-	for _, step := range run.Steps {
-		p := step.Kernel.Prog
-		if p == nil || seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		progs = append(progs, p)
-	}
-	return progs, nil
-}
-
 // vulnCheckBenchmark cross-validates one benchmark; it returns one row
 // per kernel and a violation message per falsified unACE claim.
 func (e *Engine) vulnCheckBenchmark(ctx context.Context, b *kernels.Benchmark, vm *metrics.Vuln) ([]VulnCheckRow, []string, error) {
-	progs, err := benchPrograms(b)
+	progs, err := b.Programs()
 	if err != nil {
 		return nil, nil, err
 	}

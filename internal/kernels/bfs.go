@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -65,6 +64,8 @@ DONE:
 	exit
 `
 
+var bfsKernel = &Source{File: "internal/kernels/bfs.go", Src: bfsSrc}
+
 type bfsGraph struct {
 	rowPtr []uint32
 	colIdx []uint32
@@ -123,17 +124,16 @@ func hostBFS(g *bfsGraph, src int) []uint32 {
 	return lv
 }
 
-func init() {
-	register(&Benchmark{
-		Name:     "BFS",
-		Category: "Linear Algebra/Primitives",
-		Desc:     fmt.Sprintf("level-synchronous BFS over a %d-vertex small-world graph", bfsNodes),
-		Build:    buildBFS,
-	})
+var bfsBench = &Benchmark{
+	Name:     "BFS",
+	Category: "Linear Algebra/Primitives",
+	Desc:     fmt.Sprintf("level-synchronous BFS over a %d-vertex small-world graph", bfsNodes),
+	Build:    buildBFS,
+	kernels:  []*Source{bfsKernel},
 }
 
 func buildBFS(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(bfsSrc)
+	prog, err := bfsKernel.Program()
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -58,17 +57,18 @@ JLOOP:
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "BitonicSort",
-		Category: "Sorting",
-		Desc:     fmt.Sprintf("in-shared-memory bitonic sort of %d keys, single block", bitonicN),
-		Build:    buildBitonic,
-	})
+var bitonicKernel = &Source{File: "internal/kernels/bitonic.go", Src: bitonicSrc}
+
+var bitonicBench = &Benchmark{
+	Name:     "BitonicSort",
+	Category: "Sorting",
+	Desc:     fmt.Sprintf("in-shared-memory bitonic sort of %d keys, single block", bitonicN),
+	Build:    buildBitonic,
+	kernels:  []*Source{bitonicKernel},
 }
 
 func buildBitonic(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(bitonicSrc)
+	prog, err := bitonicKernel.Program()
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -30,6 +29,8 @@ const (
 // guarded butterflies per thread, 3 guarded store slots.
 // params: [0]=data base (per block: re[256] then im[256]).
 var fftSrc = buildFFTSrc()
+
+var fftKernel = &Source{File: "internal/kernels/cufft.go", Src: fftSrc}
 
 func buildFFTSrc() string {
 	var b strings.Builder
@@ -123,13 +124,12 @@ STAGE:
 	return b.String()
 }
 
-func init() {
-	register(&Benchmark{
-		Name:     "CUFFT",
-		Category: "Scientific",
-		Desc:     fmt.Sprintf("%d batched %d-point radix-2 complex FFTs", fftBlocks, fftN),
-		Build:    buildFFT,
-	})
+var fftBench = &Benchmark{
+	Name:     "CUFFT",
+	Category: "Scientific",
+	Desc:     fmt.Sprintf("%d batched %d-point radix-2 complex FFTs", fftBlocks, fftN),
+	Build:    buildFFT,
+	kernels:  []*Source{fftKernel},
 }
 
 // bitrev reverses the low bits-th bits of x.
@@ -142,7 +142,7 @@ func bitrev(x, bits int) int {
 }
 
 func buildFFT(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(fftSrc)
+	prog, err := fftKernel.Program()
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -12,29 +11,9 @@ import (
 // Extra workloads beyond the paper's Table 4: classic GPU primitives
 // kept as reference kernels for library users and as additional
 // exercise for the simulator (reduction trees, transpose coalescing
-// patterns, atomic-heavy histograms). They are registered in a separate
-// list so the paper's experiments stay exactly the 11-benchmark suite.
-
-var extras []*Benchmark
-
-func registerExtra(b *Benchmark) { extras = append(extras, b) }
-
-// Extras returns the non-paper reference workloads.
-func Extras() []*Benchmark {
-	out := make([]*Benchmark, len(extras))
-	copy(out, extras)
-	return out
-}
-
-// ExtraByName returns an extra workload by name.
-func ExtraByName(name string) (*Benchmark, error) {
-	for _, b := range extras {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("kernels: unknown extra workload %q", name)
-}
+// patterns, atomic-heavy histograms). They follow the paper's workloads
+// in the suite table, so the paper's experiments stay exactly the
+// 11-benchmark suite.
 
 // --- Reduction: block-wise shared-memory sum tree + atomic combine ---
 
@@ -82,17 +61,18 @@ TREE:
 	exit
 `
 
-func init() {
-	registerExtra(&Benchmark{
-		Name:     "Reduce",
-		Category: "Extra/Primitives",
-		Desc:     fmt.Sprintf("shared-memory tree reduction of %d ints", reduceN),
-		Build:    buildReduce,
-	})
+var reduceKernel = &Source{File: "internal/kernels/extras.go", Src: reduceSrc}
+
+var reduceBench = &Benchmark{
+	Name:     "Reduce",
+	Category: "Extra/Primitives",
+	Desc:     fmt.Sprintf("shared-memory tree reduction of %d ints", reduceN),
+	Build:    buildReduce,
+	kernels:  []*Source{reduceKernel},
 }
 
 func buildReduce(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(reduceSrc)
+	prog, err := reduceKernel.Program()
 	if err != nil {
 		return nil, err
 	}
@@ -186,17 +166,18 @@ const transposeSrc = `
 	exit
 `
 
-func init() {
-	registerExtra(&Benchmark{
-		Name:     "Transpose",
-		Category: "Extra/Primitives",
-		Desc:     fmt.Sprintf("%dx%d tiled matrix transpose (padded shared tiles)", transH, transW),
-		Build:    buildTranspose,
-	})
+var transposeKernel = &Source{File: "internal/kernels/extras.go", Src: transposeSrc}
+
+var transposeBench = &Benchmark{
+	Name:     "Transpose",
+	Category: "Extra/Primitives",
+	Desc:     fmt.Sprintf("%dx%d tiled matrix transpose (padded shared tiles)", transH, transW),
+	Build:    buildTranspose,
+	kernels:  []*Source{transposeKernel},
 }
 
 func buildTranspose(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(transposeSrc)
+	prog, err := transposeKernel.Program()
 	if err != nil {
 		return nil, err
 	}
@@ -281,17 +262,18 @@ const histogramSrc = `
 	exit
 `
 
-func init() {
-	registerExtra(&Benchmark{
-		Name:     "Histogram",
-		Category: "Extra/Primitives",
-		Desc:     fmt.Sprintf("%d-bin histogram of %d values (shared atomics + merge)", histBins, histN),
-		Build:    buildHistogram,
-	})
+var histogramKernel = &Source{File: "internal/kernels/extras.go", Src: histogramSrc}
+
+var histogramBench = &Benchmark{
+	Name:     "Histogram",
+	Category: "Extra/Primitives",
+	Desc:     fmt.Sprintf("%d-bin histogram of %d values (shared atomics + merge)", histBins, histN),
+	Build:    buildHistogram,
+	kernels:  []*Source{histogramKernel},
 }
 
 func buildHistogram(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(histogramSrc)
+	prog, err := histogramKernel.Program()
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ package kernels
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"warped/internal/arch"
 	"warped/internal/core"
@@ -45,6 +45,25 @@ type Benchmark struct {
 	Desc     string
 	// Build stages the benchmark on the GPU and returns its Run.
 	Build func(g *sim.GPU) (*Run, error)
+
+	// kernels are the bundled sources Build launches, in first-launch
+	// order.
+	kernels []*Source
+}
+
+// Programs returns the programs of the bundled kernels b's Build
+// launches, in first-launch order, without building b. An Inline
+// workload declares none.
+func (b *Benchmark) Programs() ([]*isa.Program, error) {
+	progs := make([]*isa.Program, len(b.kernels))
+	for i, s := range b.kernels {
+		p, err := s.Program()
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
+	}
+	return progs, nil
 }
 
 // GPUMemBytes returns the device global-memory size a run of the
@@ -180,49 +199,43 @@ func Inline(name string, prog *isa.Program, k sim.Kernel) *Benchmark {
 	}}
 }
 
-var registry []*Benchmark
-
-func register(b *Benchmark) { registry = append(registry, b) }
-
-// paperOrder is the benchmark order used in the paper's Figure 1.
-var paperOrder = []string{
-	"BFS", "Nqueen", "MUM", "SCAN", "BitonicSort", "Laplace",
-	"MatrixMul", "RadixSort", "SHA", "Libor", "CUFFT",
+// suite is every bundled workload: the paper's Table 4 in its Figure-1
+// order, then the extras. A workload is declared in its own file and
+// listed here; nothing else names it.
+var suite = []*Benchmark{
+	bfsBench, nqueenBench, mumBench, scanBench, bitonicBench, laplaceBench,
+	matmulBench, radixBench, shaBench, liborBench, fftBench,
+	reduceBench, transposeBench, histogramBench, vulnMicroBench,
 }
 
-// All returns every registered benchmark in the paper's figure order.
-func All() []*Benchmark {
-	rank := make(map[string]int, len(paperOrder))
-	for i, n := range paperOrder {
-		rank[n] = i
-	}
-	out := make([]*Benchmark, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i].Name]
-		rj, jok := rank[out[j].Name]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return out[i].Name < out[j].Name
-		}
-	})
-	return out
-}
+// numPaper counts the leading workloads of suite that are the paper's
+// Table 4; the extras follow them.
+const numPaper = 11
 
-// ByName returns the benchmark with the given name.
+// All returns the paper's Table 4 benchmarks in its Figure-1 order.
+func All() []*Benchmark { return slices.Clone(suite[:numPaper]) }
+
+// Extras returns the non-paper reference workloads.
+func Extras() []*Benchmark { return slices.Clone(suite[numPaper:]) }
+
+// ByName returns the Table 4 benchmark with the given name.
 func ByName(name string) (*Benchmark, error) {
-	for _, b := range registry {
+	for _, b := range suite[:numPaper] {
 		if b.Name == name {
 			return b, nil
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown benchmark %q", name)
+}
+
+// ExtraByName returns an extra workload by name.
+func ExtraByName(name string) (*Benchmark, error) {
+	for _, b := range suite[numPaper:] {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("kernels: unknown extra workload %q", name)
 }
 
 // Lookup returns the named workload from the paper suite, or failing

@@ -4,10 +4,12 @@ import (
 	"context"
 	"crypto/sha1"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"warped/internal/arch"
 	"warped/internal/asm"
+	"warped/internal/isa"
 	"warped/internal/sim"
 	"warped/internal/stats"
 )
@@ -387,4 +389,59 @@ func TestKernelRegisterBudgets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuildsShareDeclaredPrograms: every bundled workload launches
+// exactly the kernels it declares, in first-launch order, and two
+// Builds launch the same programs: each source is assembled once and
+// shared, not assembled again per Build.
+func TestBuildsShareDeclaredPrograms(t *testing.T) {
+	launched := func(t *testing.T, b *Benchmark) []*isa.Program {
+		t.Helper()
+		g, err := sim.New(arch.PaperConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := b.Build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var progs []*isa.Program
+		for _, step := range run.Steps {
+			progs = append(progs, step.Kernel.Prog)
+		}
+		return progs
+	}
+	for _, b := range append(All(), Extras()...) {
+		t.Run(b.Name, func(t *testing.T) {
+			first, second := launched(t, b), launched(t, b)
+			if !slices.Equal(first, second) {
+				t.Error("two Builds launched different programs")
+			}
+			declared, err := b.Programs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var distinct []*isa.Program
+			for _, p := range first {
+				if !slices.Contains(distinct, p) {
+					distinct = append(distinct, p)
+				}
+			}
+			if !slices.Equal(distinct, declared) {
+				t.Errorf("Build launches %s, want the declared kernels %s", progNames(distinct), progNames(declared))
+			}
+		})
+	}
+	if progs, err := Inline("tiny", asm.MustAssemble(".kernel tiny\nexit\n"), sim.Kernel{}).Programs(); err != nil || len(progs) != 0 {
+		t.Errorf("Inline workload declares %d programs (err %v), want none", len(progs), err)
+	}
+}
+
+func progNames(progs []*isa.Program) []string {
+	names := make([]string, len(progs))
+	for i, p := range progs {
+		names[i] = p.Name
+	}
+	return names
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -73,17 +72,18 @@ DONE:
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "Laplace",
-		Category: "Scientific",
-		Desc:     fmt.Sprintf("%dx%d Jacobi 5-point stencil, %d iterations", lapW, lapH, lapIters),
-		Build:    buildLaplace,
-	})
+var laplaceKernel = &Source{File: "internal/kernels/laplace.go", Src: laplaceSrc}
+
+var laplaceBench = &Benchmark{
+	Name:     "Laplace",
+	Category: "Scientific",
+	Desc:     fmt.Sprintf("%dx%d Jacobi 5-point stencil, %d iterations", lapW, lapH, lapIters),
+	Build:    buildLaplace,
+	kernels:  []*Source{laplaceKernel},
 }
 
 func buildLaplace(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(laplaceSrc)
+	prog, err := laplaceKernel.Program()
 	if err != nil {
 		return nil, err
 	}

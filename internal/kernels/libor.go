@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -75,13 +74,14 @@ STEP:
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "Libor",
-		Category: "Financial",
-		Desc:     fmt.Sprintf("Monte-Carlo LIBOR pricing, %d paths x %d steps", liborPaths, liborSteps),
-		Build:    buildLibor,
-	})
+var liborKernel = &Source{File: "internal/kernels/libor.go", Src: liborSrc}
+
+var liborBench = &Benchmark{
+	Name:     "Libor",
+	Category: "Financial",
+	Desc:     fmt.Sprintf("Monte-Carlo LIBOR pricing, %d paths x %d steps", liborPaths, liborSteps),
+	Build:    buildLibor,
+	kernels:  []*Source{liborKernel},
 }
 
 // liborHostPath replicates the kernel arithmetic in float32 with the
@@ -109,7 +109,7 @@ func liborHostPath(normals []float32) float32 {
 }
 
 func buildLibor(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(liborSrc)
+	prog, err := liborKernel.Program()
 	if err != nil {
 		return nil, err
 	}

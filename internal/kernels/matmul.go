@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -28,6 +27,8 @@ const (
 // instruction mix is ~2 shared loads per FFMA (close to the real SDK
 // kernel's SASS) rather than being dominated by address arithmetic.
 var matmulSrc = buildMatmulSrc()
+
+var matmulKernel = &Source{File: "internal/kernels/matmul.go", Src: matmulSrc}
 
 func buildMatmulSrc() string {
 	var sb strings.Builder
@@ -101,17 +102,16 @@ const matmulEpilog = `	bar.sync
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "MatrixMul",
-		Category: "Linear Algebra/Primitives",
-		Desc:     fmt.Sprintf("tiled %dx%dx%d single-precision matrix multiply", mmM, mmK, mmN),
-		Build:    buildMatmul,
-	})
+var matmulBench = &Benchmark{
+	Name:     "MatrixMul",
+	Category: "Linear Algebra/Primitives",
+	Desc:     fmt.Sprintf("tiled %dx%dx%d single-precision matrix multiply", mmM, mmK, mmN),
+	Build:    buildMatmul,
+	kernels:  []*Source{matmulKernel},
 }
 
 func buildMatmul(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(matmulSrc)
+	prog, err := matmulKernel.Program()
 	if err != nil {
 		return nil, err
 	}

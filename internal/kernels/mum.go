@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -129,6 +128,8 @@ NEXT:
 	exit
 `
 
+var mumKernel = &Source{File: "internal/kernels/mum.go", Src: mumSrc}
+
 // hostMUM mirrors the kernel: binary search + two-candidate LCP.
 func hostMUM(ref []uint32, sa []int, query []uint32) (length, pos uint32) {
 	n := len(ref)
@@ -164,17 +165,16 @@ func hostMUM(ref []uint32, sa []int, query []uint32) (length, pos uint32) {
 	return uint32(best), uint32(bestPos)
 }
 
-func init() {
-	register(&Benchmark{
-		Name:     "MUM",
-		Category: "Scientific",
-		Desc:     fmt.Sprintf("suffix-array matching of %d %dbp queries against a %dbp reference", mumQueries, mumQueryLen, mumRefLen),
-		Build:    buildMUM,
-	})
+var mumBench = &Benchmark{
+	Name:     "MUM",
+	Category: "Scientific",
+	Desc:     fmt.Sprintf("suffix-array matching of %d %dbp queries against a %dbp reference", mumQueries, mumQueryLen, mumRefLen),
+	Build:    buildMUM,
+	kernels:  []*Source{mumKernel},
 }
 
 func buildMUM(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(mumSrc)
+	prog, err := mumKernel.Program()
 	if err != nil {
 		return nil, err
 	}

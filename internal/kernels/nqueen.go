@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -114,6 +113,8 @@ FLUSH:
 	exit
 `
 
+var nqueenKernel = &Source{File: "internal/kernels/nqueen.go", Src: nqueenSrc}
+
 // hostNQueens counts N-queens solutions with the same bitmask search.
 func hostNQueens(n int) int {
 	full := uint32(1<<n) - 1
@@ -134,17 +135,16 @@ func hostNQueens(n int) int {
 	return rec(0, 0, 0)
 }
 
-func init() {
-	register(&Benchmark{
-		Name:     "Nqueen",
-		Category: "AI/Simulation",
-		Desc:     fmt.Sprintf("%d-queens solution count via per-thread bitmask DFS", nqN),
-		Build:    buildNQueen,
-	})
+var nqueenBench = &Benchmark{
+	Name:     "Nqueen",
+	Category: "AI/Simulation",
+	Desc:     fmt.Sprintf("%d-queens solution count via per-thread bitmask DFS", nqN),
+	Build:    buildNQueen,
+	kernels:  []*Source{nqueenKernel},
 }
 
 func buildNQueen(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(nqueenSrc)
+	prog, err := nqueenKernel.Program()
 	if err != nil {
 		return nil, err
 	}

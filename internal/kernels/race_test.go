@@ -13,9 +13,10 @@ import (
 
 // TestConcurrentLaunches pins the property the parallel orchestration
 // engine depends on: separate GPU instances can run concurrently
-// because sim, kernels, and stats share no hidden mutable state
-// (package-level vars, cached programs, lazily-built tables). Run under
-// `go test -race` — CI does — any cross-run sharing fails the build.
+// because sim, kernels, and stats share no mutable state. What runs do
+// share, each bundled kernel's program (assembled once per process),
+// they only read. Run under `go test -race` — CI does — any write to
+// shared state fails the build.
 func TestConcurrentLaunches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -38,9 +39,8 @@ func TestConcurrentLaunches(t *testing.T) {
 	}
 
 	// The same runs, all launched concurrently, several times over so
-	// every pair of benchmarks overlaps at least once. Benchmark Build
-	// re-assembles its program per GPU, so even instruction memory is
-	// private to each run.
+	// every pair of benchmarks overlaps at least once, every launch of
+	// a benchmark reading the same shared program.
 	var wg sync.WaitGroup
 	got := make([][]*stats.Stats, workers)
 	errs := make([]error, workers)
@@ -79,7 +79,7 @@ func TestConcurrentLaunches(t *testing.T) {
 	}
 }
 
-// TestConcurrentLintAll: the lazily-built Sources table must be safe to
+// TestConcurrentLintAll: the lazily assembled sources must be safe to
 // trigger from multiple goroutines (parallel experiment CLIs lint up
 // front on each worker's first use).
 func TestConcurrentLintAll(t *testing.T) {

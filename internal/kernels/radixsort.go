@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -47,6 +46,8 @@ const radixHistSrc = `
 	exit
 `
 
+var radixHistKernel = &Source{File: "internal/kernels/radixsort.go", Src: radixHistSrc}
+
 // params: [0]=in, [4]=out, [8]=offsets (exclusive scan of hist),
 // [12]=shiftAmount, [16]=n. One thread per digit value; thread d walks
 // the input in order and writes keys whose digit is d to consecutive
@@ -82,21 +83,22 @@ DONE:
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "RadixSort",
-		Category: "Sorting",
-		Desc:     fmt.Sprintf("4-pass LSD radix sort of %d 16-bit keys", radixN),
-		Build:    buildRadix,
-	})
+var radixGatherKernel = &Source{File: "internal/kernels/radixsort.go", Src: radixGatherSrc}
+
+var radixBench = &Benchmark{
+	Name:     "RadixSort",
+	Category: "Sorting",
+	Desc:     fmt.Sprintf("4-pass LSD radix sort of %d 16-bit keys", radixN),
+	Build:    buildRadix,
+	kernels:  []*Source{radixHistKernel, radixGatherKernel},
 }
 
 func buildRadix(g *sim.GPU) (*Run, error) {
-	histProg, err := asm.Assemble(radixHistSrc)
+	histProg, err := radixHistKernel.Program()
 	if err != nil {
 		return nil, err
 	}
-	gatherProg, err := asm.Assemble(radixGatherSrc)
+	gatherProg, err := radixGatherKernel.Program()
 	if err != nil {
 		return nil, err
 	}

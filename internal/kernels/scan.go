@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -112,6 +111,8 @@ DOWN:
 	exit
 `
 
+var scanBlockKernel = &Source{File: "internal/kernels/scan.go", Src: scanBlockSrc}
+
 // scanAddSrc adds blockSums[ctaid] to each of the block's n outputs.
 // params: [0]=out, [4]=sums, [8]=n.
 const scanAddSrc = `
@@ -138,21 +139,22 @@ const scanAddSrc = `
 	exit
 `
 
-func init() {
-	register(&Benchmark{
-		Name:     "SCAN",
-		Category: "Linear Algebra/Primitives",
-		Desc:     fmt.Sprintf("exclusive prefix sum of %d ints (Blelloch tree scan)", scanN),
-		Build:    buildScan,
-	})
+var scanAddKernel = &Source{File: "internal/kernels/scan.go", Src: scanAddSrc}
+
+var scanBench = &Benchmark{
+	Name:     "SCAN",
+	Category: "Linear Algebra/Primitives",
+	Desc:     fmt.Sprintf("exclusive prefix sum of %d ints (Blelloch tree scan)", scanN),
+	Build:    buildScan,
+	kernels:  []*Source{scanBlockKernel, scanAddKernel},
 }
 
 func buildScan(g *sim.GPU) (*Run, error) {
-	blockProg, err := asm.Assemble(scanBlockSrc)
+	blockProg, err := scanBlockKernel.Program()
 	if err != nil {
 		return nil, err
 	}
-	addProg, err := asm.Assemble(scanAddSrc)
+	addProg, err := scanAddKernel.Program()
 	if err != nil {
 		return nil, err
 	}

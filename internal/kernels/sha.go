@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -28,6 +27,8 @@ const (
 // params: [0]=msg base (16 words/thread), [4]=digest base (5
 // words/thread).
 var shaSrc = buildShaSrc()
+
+var shaKernel = &Source{File: "internal/kernels/sha.go", Src: shaSrc}
 
 func buildShaSrc() string {
 	var b strings.Builder
@@ -165,13 +166,12 @@ func shaMix() string {
 	return b.String()
 }
 
-func init() {
-	register(&Benchmark{
-		Name:     "SHA",
-		Category: "Compression/Encryption",
-		Desc:     fmt.Sprintf("SHA-1 compression of %d independent 64-byte blocks", shaMsgs),
-		Build:    buildSha,
-	})
+var shaBench = &Benchmark{
+	Name:     "SHA",
+	Category: "Compression/Encryption",
+	Desc:     fmt.Sprintf("SHA-1 compression of %d independent 64-byte blocks", shaMsgs),
+	Build:    buildSha,
+	kernels:  []*Source{shaKernel},
 }
 
 // sha1Compress is the host reference: one SHA-1 compression round over
@@ -204,7 +204,7 @@ func sha1Compress(w16 [16]uint32) [5]uint32 {
 }
 
 func buildSha(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(shaSrc)
+	prog, err := shaKernel.Program()
 	if err != nil {
 		return nil, err
 	}

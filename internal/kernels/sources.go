@@ -6,56 +6,48 @@ import (
 	"sync"
 
 	"warped/internal/asm"
+	"warped/internal/isa"
 	"warped/internal/verify"
 )
 
-// Source is one bundled kernel's assembly text plus the Go file that
-// embeds it, so lint diagnostics can point at the defining file.
+// Source is one bundled kernel: its assembly text, declared once next
+// to the workload that launches it, plus the Go file that declares it,
+// so lint diagnostics can point at the defining file. The text is
+// assembled on first use, at most once per process; every launch
+// shares the program and only reads it (a launch fills in only the
+// kernel's Params, never the program).
 type Source struct {
-	Name string // kernel entry name (.entry)
-	File string // repo-relative Go file embedding the source
+	Name string // kernel entry name (.kernel); "?" when Src does not assemble
+	File string // repo-relative Go file declaring the source
 	Src  string // assembly text
+
+	once sync.Once
+	prog *isa.Program
+	err  error
 }
 
-// sources lists every assembly kernel bundled with the benchmarks. The
-// generated sources (fft, matmul, sha) are built at init time, so this
-// table is populated lazily by Sources rather than at package init; the
-// Once makes the lazy fill safe under concurrent lints (parallel runs
-// call LintAll from multiple goroutines).
-var (
-	sources     []Source
-	sourcesOnce sync.Once
-)
-
-func buildSources() []Source {
-	list := []struct {
-		file, src string
-	}{
-		{"internal/kernels/bfs.go", bfsSrc},
-		{"internal/kernels/bitonic.go", bitonicSrc},
-		{"internal/kernels/cufft.go", fftSrc},
-		{"internal/kernels/extras.go", reduceSrc},
-		{"internal/kernels/extras.go", transposeSrc},
-		{"internal/kernels/extras.go", histogramSrc},
-		{"internal/kernels/laplace.go", laplaceSrc},
-		{"internal/kernels/libor.go", liborSrc},
-		{"internal/kernels/matmul.go", matmulSrc},
-		{"internal/kernels/mum.go", mumSrc},
-		{"internal/kernels/nqueen.go", nqueenSrc},
-		{"internal/kernels/radixsort.go", radixHistSrc},
-		{"internal/kernels/radixsort.go", radixGatherSrc},
-		{"internal/kernels/scan.go", scanBlockSrc},
-		{"internal/kernels/scan.go", scanAddSrc},
-		{"internal/kernels/sha.go", shaSrc},
-		{"internal/kernels/vulnmicro.go", vulnMicroSrc},
-	}
-	out := make([]Source, 0, len(list))
-	for _, e := range list {
-		name := "?"
-		if p, err := asm.Assemble(e.src); err == nil {
-			name = p.Name
+// Program returns the assembled source, assembling it on the first
+// call. Callers share the program and must not modify it.
+func (s *Source) Program() (*isa.Program, error) {
+	s.once.Do(func() {
+		s.Name = "?"
+		if s.prog, s.err = asm.Assemble(s.Src); s.err == nil {
+			s.Name = s.prog.Name
 		}
-		out = append(out, Source{Name: name, File: e.file, Src: e.src})
+	})
+	return s.prog, s.err
+}
+
+// Sources returns every bundled kernel source, assembled, sorted by
+// file then name. The sources are the workload table's own: callers
+// only read them.
+func Sources() []*Source {
+	var out []*Source
+	for _, b := range suite {
+		for _, s := range b.kernels {
+			_, _ = s.Program() // a failed source is listed, named "?"
+			out = append(out, s)
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -66,20 +58,14 @@ func buildSources() []Source {
 	return out
 }
 
-// Sources returns every bundled kernel source, sorted by file then name.
-func Sources() []Source {
-	sourcesOnce.Do(func() { sources = buildSources() })
-	return sources
-}
-
-// LintAll assembles and verifies every bundled kernel. It returns nil
-// only when all sources assemble and produce zero verifier findings;
-// otherwise the error lists every diagnostic in the greppable
-// file:line: severity: rule: message format.
+// LintAll verifies every bundled kernel. It returns nil only when all
+// sources assemble and produce zero verifier findings; otherwise the
+// error lists every diagnostic in the greppable file:line: severity:
+// rule: message format.
 func LintAll() error {
 	var report string
 	for _, s := range Sources() {
-		p, err := asm.Assemble(s.Src)
+		p, err := s.Program()
 		if err != nil {
 			report += fmt.Sprintf("%s: %v\n", s.File, err)
 			continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"warped/internal/asm"
 	"warped/internal/mem"
 	"warped/internal/sim"
 )
@@ -56,17 +55,18 @@ const vulnMicroSrc = `
 	exit
 `
 
-func init() {
-	registerExtra(&Benchmark{
-		Name:     "VulnMicro",
-		Category: "Extra/Synthetic",
-		Desc:     fmt.Sprintf("vector scale of %d ints with a dead telemetry chain (ACE-analysis reference)", vulnMicroN),
-		Build:    buildVulnMicro,
-	})
+var vulnMicroKernel = &Source{File: "internal/kernels/vulnmicro.go", Src: vulnMicroSrc}
+
+var vulnMicroBench = &Benchmark{
+	Name:     "VulnMicro",
+	Category: "Extra/Synthetic",
+	Desc:     fmt.Sprintf("vector scale of %d ints with a dead telemetry chain (ACE-analysis reference)", vulnMicroN),
+	Build:    buildVulnMicro,
+	kernels:  []*Source{vulnMicroKernel},
 }
 
 func buildVulnMicro(g *sim.GPU) (*Run, error) {
-	prog, err := asm.Assemble(vulnMicroSrc)
+	prog, err := vulnMicroKernel.Program()
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -249,6 +252,47 @@ func TestHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("/debug/vars status %d", resp.StatusCode)
+	}
+}
+
+// TestWriteFileAndServeDebug checks the commands' two helpers: a
+// -metrics-out file holds exactly the snapshot's JSON Lines, and the
+// -pprof server answers /debug/metrics on the address it bound.
+func TestWriteFileAndServeDebug(t *testing.T) {
+	r := New()
+	r.Counter("c").Inc()
+	r.Histogram("h", []int64{1}).Observe(3)
+	var want strings.Builder
+	if err := r.Snapshot().WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	if err := r.Snapshot().WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != want.String() {
+		t.Errorf("WriteFile wrote %q (%v), want %q", got, err, want.String())
+	}
+	if err := r.Snapshot().WriteFile(filepath.Join(path, "not-a-dir")); err == nil {
+		t.Error("WriteFile under a regular file succeeded")
+	}
+
+	addr, err := ServeDebug("localhost:0", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr.String() + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || string(body) != want.String() {
+		t.Errorf("/debug/metrics = %q (%v), want %q", body, err, want.String())
+	}
+	if _, err := ServeDebug(addr.String(), r); err == nil {
+		t.Error("ServeDebug bound an address already in use")
 	}
 }
 

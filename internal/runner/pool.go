@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
-	"time"
 
 	"warped/internal/metrics"
 )
@@ -166,33 +164,9 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
 		p.met.QueueDepth.Add(-1)
-		p.met.TasksStarted.Inc()
-		p.met.WorkersBusy.Add(1)
-		start := time.Now()
-		err := p.runTask(t)
-		p.met.TaskLatencyMS.Observe(time.Since(start).Milliseconds())
-		p.met.WorkersBusy.Add(-1)
-		if err == nil {
-			p.met.TasksCompleted.Inc()
-		} else {
-			p.met.TasksFailed.Inc()
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				p.met.TaskPanics.Inc()
-			}
-		}
+		err := runTask(p.met, t.seq, t.fn)
 		if t.done != nil {
 			t.done(err)
 		}
 	}
-}
-
-// runTask executes one task with panic isolation.
-func (p *Pool) runTask(t poolTask) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Index: t.seq, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return t.fn()
 }

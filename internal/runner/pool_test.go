@@ -197,3 +197,80 @@ func TestPoolRejectsNilTask(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 }
+
+// TestTaskAccounting sends a success, a panic and an error through Map
+// and through Pool. Both paths must count them alike in the runner.*
+// instruments and answer the panic as a *PanicError carrying the
+// task's index: Map's submission index, Pool's submission sequence.
+func TestTaskAccounting(t *testing.T) {
+	boom := errors.New("boom")
+	tasks := []func() error{
+		func() error { return nil },
+		func() error { panic("kaboom") },
+		func() error { return boom },
+	}
+	paths := []struct {
+		name string
+		// run sends every task through the path and returns the error
+		// the panicking task was answered with.
+		run      func(t *testing.T, reg *metrics.Registry) error
+		panicIdx int
+	}{
+		{"Map", func(t *testing.T, reg *metrics.Registry) error {
+			// Every task waits until all have started, so the first
+			// failure cannot cancel a task before it runs.
+			var started sync.WaitGroup
+			started.Add(len(tasks))
+			_, err := Map(context.Background(), Options{Workers: len(tasks), Metrics: reg}, len(tasks),
+				func(_ context.Context, i int) (struct{}, error) {
+					started.Done()
+					started.Wait()
+					return struct{}{}, tasks[i]()
+				})
+			return err // the lowest-index failure: the panic
+		}, 1},
+		{"Pool", func(t *testing.T, reg *metrics.Registry) error {
+			p := NewPool(PoolOptions{Workers: 1, Metrics: reg})
+			errs := make([]error, len(tasks))
+			for i, task := range tasks {
+				if err := p.Submit(task, func(err error) { errs[i] = err }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if errs[0] != nil || !errors.Is(errs[2], boom) {
+				t.Errorf("success answered %v and error answered %v, want nil and %v", errs[0], errs[2], boom)
+			}
+			return errs[1]
+		}, 2},
+	}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			reg := metrics.New()
+			err := path.run(t, reg)
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Index != path.panicIdx || pe.Value != "kaboom" {
+				t.Errorf("panic answered %v, want a *PanicError for task %d", err, path.panicIdx)
+			}
+			snap := reg.Snapshot()
+			for name, want := range map[string]int64{
+				"runner.tasks_started_total":   3,
+				"runner.tasks_completed_total": 1,
+				"runner.tasks_failed_total":    2,
+				"runner.task_panics_total":     1,
+			} {
+				if got := snap.Counters[name]; got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if g := snap.Gauges["runner.workers_busy"]; g.Value != 0 || g.High < 1 {
+				t.Errorf("runner.workers_busy = %+v, want back at 0 after rising", g)
+			}
+			if h := snap.Histograms["runner.task_latency_ms"]; h.Count != 3 {
+				t.Errorf("runner.task_latency_ms observed %d tasks, want 3", h.Count)
+			}
+		})
+	}
+}

@@ -118,21 +118,14 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 					errs[i] = err
 					continue
 				}
-				met.TasksStarted.Inc()
-				met.WorkersBusy.Add(1)
-				start := time.Now()
-				errs[i] = runOne(ctx, i, fn, &results[i])
-				met.TaskLatencyMS.Observe(time.Since(start).Milliseconds())
-				met.WorkersBusy.Add(-1)
-				if errs[i] == nil {
-					met.TasksCompleted.Inc()
-				} else {
-					met.TasksFailed.Inc()
-					var pe *PanicError
-					if errors.As(errs[i], &pe) {
-						met.TaskPanics.Inc()
+				errs[i] = runTask(met, i, func() error {
+					v, err := fn(ctx, i)
+					if err != nil {
+						return err
 					}
-				}
+					results[i] = v
+					return nil
+				})
 				if errs[i] != nil {
 					cancel()
 				}
@@ -172,17 +165,30 @@ func Map[T any](ctx context.Context, opt Options, n int, fn func(ctx context.Con
 	return results, nil
 }
 
-// runOne executes one task with panic isolation.
-func runOne[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error), out *T) (err error) {
+// runTask runs one task of Map or Pool with panic isolation and the
+// bookkeeping both share: it counts the task started, holds the
+// workers-busy gauge up while it runs, observes its latency, and
+// counts it completed or failed (a panic also in TaskPanics). A panic
+// becomes a *PanicError carrying index.
+func runTask(met *metrics.Run, index int, fn func() error) (err error) {
+	met.TasksStarted.Inc()
+	met.WorkersBusy.Add(1)
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Index: index, Value: r, Stack: debug.Stack()}
+		}
+		met.TaskLatencyMS.Observe(time.Since(start).Milliseconds())
+		met.WorkersBusy.Add(-1)
+		if err == nil {
+			met.TasksCompleted.Inc()
+			return
+		}
+		met.TasksFailed.Inc()
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			met.TaskPanics.Inc()
 		}
 	}()
-	v, err := fn(ctx, i)
-	if err != nil {
-		return err
-	}
-	*out = v
-	return nil
+	return fn()
 }

@@ -108,8 +108,15 @@ type ConfigSpec struct {
 	IdleDrain   *bool  `json:"idle_drain,omitempty"`
 }
 
+// maxFaults bounds the faults one job may inject, explicit and random
+// together. Canonicalize draws every random fault and the injector
+// checks every fault on each perturbed lane, so an unbounded count
+// would let one small request tie up the coordinator at submit.
+const maxFaults = 64
+
 // FaultSpec is a fault-injection campaign: explicit faults, random
-// draws, or both (explicit faults injected first).
+// draws, or both (explicit faults injected first), at most maxFaults
+// in all.
 type FaultSpec struct {
 	// Faults are injected exactly as given.
 	Faults []FaultDef `json:"faults,omitempty"`
@@ -352,6 +359,10 @@ func (fs *FaultSpec) resolve(seed int64, numSMs int) ([]FaultDef, error) {
 	}
 	if fs.Random < 0 {
 		return nil, fmt.Errorf("service: faults.random must be non-negative, got %d", fs.Random)
+	}
+	if fs.Random > maxFaults-len(fs.Faults) {
+		return nil, fmt.Errorf("service: %d explicit + %d random faults exceed the limit of %d per job",
+			len(fs.Faults), fs.Random, maxFaults)
 	}
 	out := make([]FaultDef, 0, len(fs.Faults)+fs.Random)
 	for i, fd := range fs.Faults {

@@ -162,6 +162,9 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"bad fault lane":    {Benchmark: "MatrixMul", Faults: &FaultSpec{Faults: []FaultDef{{Kind: "stuck-at", Lane: 99, Unit: "sp"}}}},
 		"bad fault unit":    {Benchmark: "MatrixMul", Faults: &FaultSpec{Faults: []FaultDef{{Kind: "stuck-at", Lane: 0, Unit: "tensor"}}}},
 		"negative random":   {Benchmark: "MatrixMul", Faults: &FaultSpec{Random: -1}},
+		"random 65":         {Benchmark: "MatrixMul", Faults: &FaultSpec{Random: 65}},
+		"random 2000000":    {Benchmark: "SHA", Faults: &FaultSpec{Random: 2_000_000, Kind: "transient"}, Seed: 7},
+		"explicit + random": {Benchmark: "MatrixMul", Faults: &FaultSpec{Faults: []FaultDef{{Kind: "stuck-at", Lane: 0, Unit: "sp"}}, Random: 64}},
 		"negative shared":   {Source: "exit\n", SharedBytes: -4},
 		"bad policy":        {Benchmark: "MatrixMul", Policy: "quantum"},
 		"bad policy arg":    {Benchmark: "MatrixMul", Policy: "warpsample:1/0"},
@@ -169,6 +172,15 @@ func TestCanonicalizeRejects(t *testing.T) {
 	for name, spec := range bad {
 		if _, err := spec.Canonicalize(); err == nil {
 			t.Errorf("%s: Canonicalize accepted %+v", name, spec)
+		}
+	}
+	// At the fault limit, explicit and random together, a job is admitted.
+	for _, fs := range []*FaultSpec{
+		{Random: maxFaults},
+		{Faults: []FaultDef{{Kind: "stuck-at", Lane: 0, Unit: "sp"}}, Random: maxFaults - 1},
+	} {
+		if _, err := (&JobSpec{Benchmark: "MatrixMul", Faults: fs}).Canonicalize(); err != nil {
+			t.Errorf("%d explicit + %d random faults: %v", len(fs.Faults), fs.Random, err)
 		}
 	}
 }
