@@ -41,14 +41,13 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a set-associative tag store.
+// Cache is a set-associative tag store: one flat array of Sets*Ways
+// lines, set-major. It counts no hits or misses; callers count the
+// outcomes Access returns.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	lines []line
 	clock uint64
-
-	Hits   int64
-	Misses int64
 }
 
 // New builds a cache; panics on invalid configuration (caller bug).
@@ -56,26 +55,24 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets}
+	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) index(addr uint32) (set int, tag uint32) {
+// set returns the ways of the set addr maps to, and addr's tag.
+func (c *Cache) set(addr uint32) (ways []line, tag uint32) {
 	lineAddr := addr / uint32(c.cfg.LineBytes)
-	return int(lineAddr) & (c.cfg.Sets - 1), lineAddr / uint32(c.cfg.Sets)
+	first := (int(lineAddr) & (c.cfg.Sets - 1)) * c.cfg.Ways
+	return c.lines[first : first+c.cfg.Ways], lineAddr / uint32(c.cfg.Sets)
 }
 
 // Lookup probes the cache without modifying state.
 func (c *Cache) Lookup(addr uint32) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
 			return true
 		}
 	}
@@ -86,13 +83,11 @@ func (c *Cache) Lookup(addr uint32) bool {
 // with LRU replacement. Returns whether it hit.
 func (c *Cache) Access(addr uint32) bool {
 	c.clock++
-	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways, tag := c.set(addr)
 	victim := 0
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
-			c.Hits++
 			return true
 		}
 		if ways[i].lru < ways[victim].lru || !ways[i].valid && ways[victim].valid {
@@ -107,7 +102,6 @@ func (c *Cache) Access(addr uint32) bool {
 		}
 	}
 	ways[victim] = line{tag: tag, valid: true, lru: c.clock}
-	c.Misses++
 	return false
 }
 
@@ -115,30 +109,17 @@ func (c *Cache) Access(addr uint32) bool {
 // write-through stores so later reads observe DRAM latency honestly
 // rather than hitting a stale tag installed by another warp's read).
 func (c *Cache) Invalidate(addr uint32) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i].valid = false
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].valid = false
 			return
 		}
 	}
 }
 
-// HitRate returns hits / (hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
-// Reset clears all tags and counters.
+// Reset clears all tags.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
-	c.clock, c.Hits, c.Misses = 0, 0, 0
+	clear(c.lines)
+	c.clock = 0
 }

@@ -215,6 +215,14 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 						t.Errorf("2000000 random faults = %d %q, want 400 naming the count and the limit", code, msg)
 					}
 				}},
+				{"over-limit ReplayQ is 400", func(t *testing.T) {
+					spec := `{"benchmark":"SHA","config":{"replayq":10000000}}`
+					code, _, out := call(t, http.MethodPost, "/v1/jobs", spec)
+					msg, _ := out["error"].(string)
+					if code != http.StatusBadRequest || !strings.Contains(msg, "config.replayq 10000000") || !strings.Contains(msg, "limit of 128") {
+						t.Errorf("replayq 10000000 = %d %q, want 400 naming the field, the value and the limit", code, msg)
+					}
+				}},
 				{"resubmit after done is cached", func(t *testing.T) {
 					once.Do(func() { close(release) })
 					waitFor(t, id, "done")

@@ -174,26 +174,33 @@ func TestShuffleLane(t *testing.T) {
 
 // --- Engine tests ---
 
+// decode compiles in as a one-instruction program and returns its
+// pre-decoded form, which every record the engine sees carries.
+func decode(in isa.Instr) *exec.Decoded {
+	in.Pred = isa.AlwaysPred()
+	comp, err := exec.Compile(&isa.Program{Name: "t", Instrs: []isa.Instr{in}, NumRegs: isa.MaxGPR})
+	if err != nil {
+		panic(err)
+	}
+	return &comp.Code()[0]
+}
+
 func fullRec(op isa.Opcode, dst isa.Reg, srcs ...isa.Reg) *exec.Record {
-	in := &isa.Instr{Op: op, Dst: dst, Pred: isa.AlwaysPred()}
+	in := isa.Instr{Op: op, Dst: dst}
 	for i, s := range srcs {
 		in.Src[i] = isa.RegOp(s)
 	}
-	rec := &exec.Record{
-		Instr: in, Unit: op.Unit(),
-		Active: simt.FullMask(32), Executing: simt.FullMask(32),
-		DstValid: op.HasDst(), Dst: dst,
-	}
-	return rec
+	return &exec.Record{Dec: decode(in), Active: simt.FullMask(32), Executing: simt.FullMask(32)}
 }
 
 func partialRec(op isa.Opcode, mask simt.Mask) *exec.Record {
-	in := &isa.Instr{Op: op, Pred: isa.AlwaysPred(), Dst: 1}
-	return &exec.Record{
-		Instr: in, Unit: op.Unit(),
-		Active: mask, Executing: mask,
-		DstValid: op.HasDst(), Dst: 1,
-	}
+	return &exec.Record{Dec: decode(isa.Instr{Op: op, Dst: 1}), Active: mask, Executing: mask}
+}
+
+// engineFor builds an engine the way a launch does, with the policy
+// compiled from cfg and no instrument set.
+func engineFor(cfg arch.Config, st *stats.Stats, perturb PerturbPhys, onError func(ErrorEvent)) *Engine {
+	return NewEngine(cfg, 0, st, CompilePolicy(cfg.Policy, "t"), nil, perturb, onError)
 }
 
 func newEngine(t *testing.T, mut func(*arch.Config)) (*Engine, *stats.Stats) {
@@ -203,13 +210,39 @@ func newEngine(t *testing.T, mut func(*arch.Config)) (*Engine, *stats.Stats) {
 		mut(&cfg)
 	}
 	st := &stats.Stats{}
-	return NewEngine(cfg, 0, st, nil, nil), st
+	return engineFor(cfg, st, nil, nil), st
+}
+
+// TestPhysMask: the engine maps executing thread slots to the physical
+// lanes the RFU pairs, under the configured thread->core mapping.
+func TestPhysMask(t *testing.T) {
+	mk := func(m arch.MappingPolicy) *Engine {
+		cfg := arch.PaperConfig()
+		cfg.Mapping = m
+		return engineFor(cfg, &stats.Stats{}, nil, nil)
+	}
+	m := simt.Mask(0x0000000F)
+	if mk(arch.MapLinear).physLanes(m) != m {
+		t.Error("linear mapping must be identity")
+	}
+	e := mk(arch.MapClusterRR)
+	// Threads 0..3 go to clusters 0..3, slot 0: lanes 0,4,8,12.
+	want := simt.Mask(1 | 1<<4 | 1<<8 | 1<<12)
+	if got := e.physLanes(m); got != want {
+		t.Errorf("physLanes = %08x, want %08x", got, want)
+	}
+	// Property: popcount preserved for random masks.
+	for _, m := range []simt.Mask{0, 0xFFFFFFFF, 0x12345678, 0x80000001} {
+		if e.physLanes(m).Count() != m.Count() {
+			t.Errorf("physLanes changed popcount for %08x", m)
+		}
+	}
 }
 
 func TestEngineOffDoesNothing(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.DMR = arch.DMROff })
 	for i := 0; i < 10; i++ {
-		if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1, 2, 3), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+		if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1, 2, 3), WarpGID: 1}); s != 0 {
 			t.Fatal("DMR-off engine stalled")
 		}
 	}
@@ -221,12 +254,10 @@ func TestEngineOffDoesNothing(t *testing.T) {
 func TestEngineTypeSwitchCoexecutesFree(t *testing.T) {
 	e, st := newEngine(t, nil)
 	// SP then LDST: the SP instruction verifies for free next cycle.
-	if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+	if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1}); s != 0 {
 		t.Fatal("first issue stalled")
 	}
-	ld := fullRec(isa.OpLD, 2, 3)
-	ld.IsMem = true
-	if s := e.Issue(IssueInfo{Rec: ld, WarpGID: 1, Phys: simt.FullMask(32), Width: 32}); s != 0 {
+	if s := e.Issue(IssueInfo{Rec: fullRec(isa.OpLD, 2, 3), WarpGID: 1}); s != 0 {
 		t.Fatal("type switch must not stall")
 	}
 	if st.ReplayCoexec != 1 {
@@ -243,7 +274,7 @@ func TestEngineTypeSwitchCoexecutesFree(t *testing.T) {
 func TestEngineSameTypeEnqueues(t *testing.T) {
 	e, st := newEngine(t, nil)
 	w := func() IssueInfo {
-		return IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}
+		return IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1}
 	}
 	e.Issue(w())
 	e.Issue(w()) // same type: first one must be buffered
@@ -255,7 +286,7 @@ func TestEngineSameTypeEnqueues(t *testing.T) {
 func TestEngineFullQueueStalls(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.ReplayQSize = 2; c.IdleDrain = false })
 	w := func(dst isa.Reg) IssueInfo {
-		return IssueInfo{Rec: fullRec(isa.OpIADD, dst), WarpGID: 1, Phys: simt.FullMask(32), Width: 32}
+		return IssueInfo{Rec: fullRec(isa.OpIADD, dst), WarpGID: 1}
 	}
 	stalls := 0
 	// A long same-type burst with a tiny queue must hit the eager
@@ -277,15 +308,10 @@ func TestEngineQueueNeverExceedsCapacityQuick(t *testing.T) {
 		cap := int(qsize % 12)
 		cfg := arch.WarpedDMRConfig()
 		cfg.ReplayQSize = cap
-		st := &stats.Stats{}
-		e := NewEngine(cfg, 0, st, nil, nil)
+		e := engineFor(cfg, &stats.Stats{}, nil, nil)
 		for i, b := range seq {
-			op := ops[int(b)%len(ops)]
-			rec := fullRec(op, isa.Reg(int(b)%8), isa.Reg(8+i%8))
-			if op == isa.OpLD || op == isa.OpST {
-				rec.IsMem = true
-			}
-			e.Issue(IssueInfo{Rec: rec, WarpGID: i % 4, Phys: simt.FullMask(32), Width: 32})
+			rec := fullRec(ops[int(b)%len(ops)], isa.Reg(int(b)%8), isa.Reg(8+i%8))
+			e.Issue(IssueInfo{Rec: rec, WarpGID: i % 4})
 			if e.QueueLen() > cap {
 				return false
 			}
@@ -301,22 +327,22 @@ func TestEngineRAWForcesVerification(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.IdleDrain = false })
 	// Producer writes r5 and gets buffered (same-type follower).
 	prod := fullRec(isa.OpIADD, 5, 1, 2)
-	e.Issue(IssueInfo{Rec: prod, WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: prod, WarpGID: 7})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7})
 	if e.QueueLen() != 1 {
 		t.Fatalf("producer not buffered (queue=%d)", e.QueueLen())
 	}
 	// Consumer reads r5 in the same warp: must stall and flush it.
 	cons := fullRec(isa.OpIADD, 8, 5, 1)
-	stall := e.Issue(IssueInfo{Rec: cons, WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
+	stall := e.Issue(IssueInfo{Rec: cons, WarpGID: 7})
 	if stall == 0 || st.StallRAWUnverif != 1 {
 		t.Errorf("RAW on unverified producer: stall=%d counter=%d", stall, st.StallRAWUnverif)
 	}
 	// A different warp reading r5 must NOT trigger the flush.
 	e2, st2 := newEngine(t, func(c *arch.Config) { c.IdleDrain = false })
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 5, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7, Phys: simt.FullMask(32), Width: 32})
-	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 8, 5, 1), WarpGID: 9, Phys: simt.FullMask(32), Width: 32})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 5, 1, 2), WarpGID: 7})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 6, 1, 2), WarpGID: 7})
+	e2.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 8, 5, 1), WarpGID: 9})
 	if st2.StallRAWUnverif != 0 {
 		t.Error("cross-warp read flushed another warp's producer")
 	}
@@ -324,8 +350,8 @@ func TestEngineRAWForcesVerification(t *testing.T) {
 
 func TestEngineIdleCycleDrains(t *testing.T) {
 	e, st := newEngine(t, nil)
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 2), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 2), WarpGID: 1})
 	// One entry queued + one pending. Two idle cycles clear both.
 	e.IdleCycle(100)
 	e.IdleCycle(100)
@@ -340,7 +366,7 @@ func TestEngineIdleCycleDrains(t *testing.T) {
 func TestEngineDrainAtKernelEnd(t *testing.T) {
 	e, st := newEngine(t, nil)
 	for i := 0; i < 5; i++ {
-		e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, isa.Reg(i)), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+		e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, isa.Reg(i)), WarpGID: 1})
 	}
 	cycles := e.Drain(100)
 	if cycles == 0 {
@@ -362,7 +388,7 @@ func TestEngineIntraWarpCoverage(t *testing.T) {
 	for c := 0; c < 8; c++ {
 		mask |= 0b0101 << uint(4*c)
 	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1, Phys: mask, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1})
 	if st.VerifiedIntra != 16 {
 		t.Errorf("intra verified = %d, want 16", st.VerifiedIntra)
 	}
@@ -385,7 +411,7 @@ func TestEngineCoverageFormula(t *testing.T) {
 	for th := 0; th < 16; th++ {
 		phys |= 1 << uint(cfg.LaneForThread(th))
 	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, logical), WarpGID: 1, Phys: phys, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, logical), WarpGID: 1})
 	if st.VerifiedIntra != 16 {
 		t.Errorf("16 contiguous threads under RR: verified %d, want 16", st.VerifiedIntra)
 	}
@@ -394,8 +420,8 @@ func TestEngineCoverageFormula(t *testing.T) {
 func TestEngineDMTRReplaysEverything(t *testing.T) {
 	e, st := newEngine(t, func(c *arch.Config) { c.DMR = arch.DMRTemporalAll })
 	half := simt.Mask(0x0000FFFF)
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1, Phys: half, Width: 32})
-	stall := e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1, Phys: half, Width: 32})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1})
+	stall := e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, half), WarpGID: 1})
 	// DMTR has no queue: same-type back-to-back must stall.
 	if stall != 1 || st.StallReplayQFull != 1 {
 		t.Errorf("DMTR same-type: stall=%d counter=%d, want 1,1", stall, st.StallReplayQFull)
@@ -419,7 +445,7 @@ func TestEngineDetectsInjectedFault(t *testing.T) {
 		}
 		return golden
 	}
-	e := NewEngine(cfg, 0, st, perturb, func(ev ErrorEvent) { events = append(events, ev) })
+	e := engineFor(cfg, st, perturb, func(ev ErrorEvent) { events = append(events, ev) })
 
 	// Build a full-warp iadd whose recorded Vals are the FAULTED originals
 	// for threads mapped to lane 2.
@@ -430,7 +456,7 @@ func TestEngineDetectsInjectedFault(t *testing.T) {
 		golden := uint32(th) + 100
 		rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 	}
-	e.Issue(IssueInfo{Rec: rec, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: rec, WarpGID: 1})
 	e.IdleCycle(100) // verify the pending instruction
 
 	if st.FaultsDetected == 0 || len(events) == 0 {
@@ -457,14 +483,14 @@ func TestEngineHiddenErrorWithoutShuffle(t *testing.T) {
 		}
 		return golden
 	}
-	e := NewEngine(cfg, 0, st, perturb, nil)
+	e := engineFor(cfg, st, perturb, nil)
 	rec := fullRec(isa.OpIADD, 1, 2, 3)
 	for th := 0; th < 32; th++ {
 		rec.SrcVals[0][th] = uint32(th)
 		golden := uint32(th)
 		rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 	}
-	e.Issue(IssueInfo{Rec: rec, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: rec, WarpGID: 1})
 	e.IdleCycle(100)
 	if st.FaultsDetected != 0 {
 		t.Error("without shuffling the stuck-at fault should hide (this is the point of lane shuffling)")
@@ -481,7 +507,7 @@ func TestEngineNarrowWarpUsesIntra(t *testing.T) {
 	for th := 0; th < 16; th++ {
 		phys |= 1 << uint(cfg.LaneForThread(th))
 	}
-	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1, Phys: phys, Width: 16})
+	e.Issue(IssueInfo{Rec: partialRec(isa.OpIADD, mask), WarpGID: 1})
 	if st.VerifiedIntra == 0 {
 		t.Error("narrow warp must use intra-warp DMR")
 	}
@@ -498,7 +524,7 @@ func TestReplayQSizing(t *testing.T) {
 	}
 	cfg := arch.WarpedDMRConfig()
 	st := &stats.Stats{}
-	e := NewEngine(cfg, 0, st, nil, nil)
+	e := engineFor(cfg, st, nil, nil)
 	size := e.QueueSizeBytes()
 	if size < 5000 || size > 5300 {
 		t.Errorf("10-entry ReplayQ = %d bytes, want ~5KB", size)
@@ -511,12 +537,9 @@ func TestReplayQSizing(t *testing.T) {
 
 func TestEngineCtrlResolvesPending(t *testing.T) {
 	e, st := newEngine(t, nil)
-	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
-	bra := &exec.Record{
-		Instr: &isa.Instr{Op: isa.OpBRA, Pred: isa.AlwaysPred()},
-		Unit:  isa.UnitCTRL, Active: simt.FullMask(32), Executing: simt.FullMask(32),
-	}
-	e.Issue(IssueInfo{Rec: bra, WarpGID: 1, Phys: simt.FullMask(32), Width: 32})
+	e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, 1), WarpGID: 1})
+	bra := fullRec(isa.OpBRA, 0)
+	e.Issue(IssueInfo{Rec: bra, WarpGID: 1})
 	if st.ReplayCoexec != 1 || st.VerifiedInter != 32 {
 		t.Error("control instruction should free the units for the pending verify")
 	}

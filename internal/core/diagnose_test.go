@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"warped/internal/arch"
-	"warped/internal/exec"
 	"warped/internal/isa"
-	"warped/internal/simt"
 	"warped/internal/stats"
 )
 
@@ -66,21 +64,17 @@ func TestDiagnoserEndToEnd(t *testing.T) {
 	}
 	d := NewDiagnoser()
 	st := &stats.Stats{}
-	e := NewEngine(cfg, 3, st, perturb, d.Observe)
+	e := NewEngine(cfg, 3, st, nil, nil, perturb, d.Observe)
 
 	for i := 0; i < 12; i++ {
-		in := &isa.Instr{Op: isa.OpIADD, Dst: 1, Pred: isa.AlwaysPred(),
-			Src: [3]isa.Operand{isa.RegOp(2), isa.RegOp(3)}}
-		rec := &exec.Record{Instr: in, Unit: isa.UnitSP,
-			Active: simt.FullMask(32), Executing: simt.FullMask(32),
-			DstValid: true, Dst: 1}
+		rec := fullRec(isa.OpIADD, 1, 2, 3)
 		for th := 0; th < 32; th++ {
 			rec.SrcVals[0][th] = uint32(th + i)
 			rec.SrcVals[1][th] = uint32(i)
 			golden := uint32(th+i) + uint32(i)
 			rec.Vals[th] = perturb(cfg.LaneForThread(th), isa.UnitSP, golden)
 		}
-		e.Issue(IssueInfo{Rec: rec, WarpGID: i, Phys: simt.FullMask(32), Width: 32})
+		e.Issue(IssueInfo{Rec: rec, WarpGID: i})
 		e.IdleCycle(100)
 	}
 	sm, lane, conf := d.Suspect()
@@ -101,12 +95,9 @@ func TestSamplingDMRReducesCoverage(t *testing.T) {
 		cfg.Policy = p
 		cfg.ReplayQSize = 0 // make stalls visible
 		st := &stats.Stats{}
-		e := NewEngine(cfg, 0, st, nil, nil)
+		e := engineFor(cfg, st, nil, nil)
 		for cyc := int64(0); cyc < 400; cyc++ {
-			e.Issue(IssueInfo{
-				Rec: fullRec(isa.OpIADD, isa.Reg(cyc%8)), WarpGID: 1,
-				Phys: simt.FullMask(32), Width: 32, Cycle: cyc,
-			})
+			e.Issue(IssueInfo{Rec: fullRec(isa.OpIADD, isa.Reg(cyc%8)), WarpGID: 1, Cycle: cyc})
 		}
 		e.Drain(100)
 		return st

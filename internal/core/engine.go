@@ -37,10 +37,8 @@ type ErrorEvent struct {
 // Issue call; the engine copies it by value before buffering.
 type IssueInfo struct {
 	Rec     *exec.Record
-	WarpGID int       // unique warp identifier within the SM
-	Phys    simt.Mask // physical-lane mask of executing lanes
-	Width   int       // lanes the warp launched with
-	Cycle   int64     // SM cycle of the issue
+	WarpGID int   // unique warp identifier within the SM
+	Cycle   int64 // SM cycle of the issue
 }
 
 // qEntry is one unverified instruction buffered in the ReplayQ. The
@@ -71,10 +69,10 @@ type Engine struct {
 	cfg     arch.Config
 	smID    int
 	st      *stats.Stats
-	table   *PriorityTable
+	table   PriorityTable
 	perturb PerturbPhys
 	onError func(ErrorEvent)
-	met     *metrics.DMR // never nil; built from a nil registry by default
+	met     *metrics.DMR // nil publishes nothing
 	tally   dmrTally     // plain per-SM counts, published by FlushMetrics
 
 	// policy gates which eligible instructions are verified. nil means
@@ -91,8 +89,8 @@ type Engine struct {
 	laneFor   [32]uint8 // thread slot -> physical lane
 	threadFor [32]uint8 // physical lane -> thread slot
 
-	q          []qEntry
-	pendingEnt qEntry // instruction "in RF" awaiting the DEC-stage type compare
+	q          []qEntry // ReplayQ; nil unless inter-warp DMR is on
+	pendingEnt qEntry   // instruction "in RF" awaiting the DEC-stage type compare
 	hasPending bool
 	phase      int // lane-shuffle rotation phase
 
@@ -113,29 +111,39 @@ type dmrTally struct {
 	detectLatency   metrics.Tally
 }
 
-// NewEngine builds the DMR engine for SM smID. st must not be nil;
-// onError may be nil.
+// NewEngine builds the DMR engine for SM smID from its launch: policy
+// is the launch's compiled protection policy (CompilePolicy; nil
+// protects everything) and met the launch's DMR instrument set
+// (internal/metrics.ForDMR) that FlushMetrics publishes into, or nil.
+// st must not be nil; onError may be nil. Only an engine with
+// inter-warp DMR allocates a ReplayQ.
 //
 // perturb is nil when no fault can reach the SM. The caller then
 // promises that the original executions ran unperturbed as well, so
 // every redundant execution would reproduce the recorded result: the
 // engine counts such replays (every Stats field and metric) without
 // recomputing or comparing them.
-func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, onError func(ErrorEvent)) *Engine {
+func NewEngine(cfg arch.Config, smID int, st *stats.Stats, policy ProtectionPolicy, met *metrics.DMR,
+	perturb PerturbPhys, onError func(ErrorEvent)) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		smID:    smID,
 		st:      st,
-		table:   NewPriorityTable(cfg.ClusterSize),
+		table:   *NewPriorityTable(cfg.ClusterSize),
 		perturb: perturb,
 		onError: onError,
+		met:     met,
+		policy:  policy,
 		intra:   cfg.DMR == arch.DMRIntra || cfg.DMR == arch.DMRFull,
 		inter:   cfg.DMR == arch.DMRInter || cfg.DMR == arch.DMRFull,
 		dmtr:    cfg.DMR == arch.DMRTemporalAll,
-		policy:  CompilePolicy(cfg.Policy, ""),
 	}
-	e.SetMetrics(nil)
-	if cfg.ReplayQSize > 0 {
+	if met != nil {
+		e.tally.depthHist = met.ReplayQDepthHist.Tally()
+		e.tally.verifyLatency = met.VerifyLatency.Tally()
+		e.tally.detectLatency = met.DetectionLatency.Tally()
+	}
+	if e.inter && cfg.ReplayQSize > 0 {
 		e.q = make([]qEntry, 0, cfg.ReplayQSize)
 	}
 	for t := 0; t < 32; t++ {
@@ -145,29 +153,17 @@ func NewEngine(cfg arch.Config, smID int, st *stats.Stats, perturb PerturbPhys, 
 	return e
 }
 
-// SetMetrics points the engine at a pre-resolved DMR instrument set
-// (see internal/metrics.ForDMR) that FlushMetrics publishes into.
-// Passing nil restores the default no-op set. Call before the first
-// Issue: it resets the engine's tallies.
-func (e *Engine) SetMetrics(m *metrics.DMR) {
-	if m == nil {
-		m = metrics.ForDMR(nil, e.cfg.WarpSize, e.cfg.ClusterSize)
-	}
-	e.met = m
-	e.tally = dmrTally{
-		depthHist:     m.ReplayQDepthHist.Tally(),
-		verifyLatency: m.VerifyLatency.Tally(),
-		detectLatency: m.DetectionLatency.Tally(),
-	}
-}
-
-// FlushMetrics publishes the engine's launch into its instrument set:
-// the tallies, and the counters that equal a field of the SM's Stats,
-// read from those Stats. The launch calls it once, on whichever path it
-// returns by; the ReplayQ depth gauge takes the queue's occupancy at
-// that moment and the high-water mark the engine saw.
+// FlushMetrics publishes the engine's launch into its instrument set
+// (a no-op without one): the tallies, and the counters that equal a
+// field of the SM's Stats, read from those Stats. The launch calls it
+// once, on whichever path it returns by; the ReplayQ depth gauge takes
+// the queue's occupancy at that moment and the high-water mark the
+// engine saw.
 func (e *Engine) FlushMetrics() {
 	m, t, st := e.met, &e.tally, e.st
+	if m == nil {
+		return
+	}
 	m.ReplayQDepth.Publish(int64(len(e.q)), int64(t.qHigh))
 	m.ReplayQDepthHist.Publish(&t.depthHist)
 	m.ReplayQEnqueued.Add(st.ReplayEnq)
@@ -196,13 +192,6 @@ func (e *Engine) FlushMetrics() {
 	m.DetectionLatency.Publish(&t.detectLatency)
 	m.Detections.Add(st.FaultsDetected)
 }
-
-// SetPolicy installs the launch-resolved protection policy (see
-// CompilePolicy). NewEngine compiles cfg.Policy against an empty kernel
-// name; callers that know the kernel (the simulator does) re-resolve
-// per launch so PolicyPerKernel sees the real name. nil protects
-// everything. Call before the first Issue.
-func (e *Engine) SetPolicy(p ProtectionPolicy) { e.policy = p }
 
 // noteQueueDepth tracks the ReplayQ high-water mark.
 func (e *Engine) noteQueueDepth() {
@@ -247,7 +236,7 @@ func computable(op isa.Opcode) bool {
 func (e *Engine) IdleCycle(now int64) {
 	var used [3]bool
 	if e.hasPending {
-		used[e.pendingEnt.rec.Unit] = true
+		used[e.pendingEnt.rec.Dec.Unit] = true
 		e.hasPending = false
 		e.verify(e.pendingEnt.issueInfo(), now)
 		e.st.ReplayCoexec++
@@ -264,7 +253,7 @@ func (e *Engine) drainIdleUnits(used [3]bool, now int64) {
 		return
 	}
 	for i := 0; i < len(e.q); {
-		u := e.q[i].rec.Unit
+		u := e.q[i].rec.Dec.Unit
 		if used[u] {
 			i++
 			continue
@@ -289,10 +278,11 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	if e.cfg.DMR == arch.DMROff {
 		return 0
 	}
+	unit := rec.Dec.Unit
 
 	// Control instructions occupy no SP/SFU/LDST unit: the pending
 	// instruction's unit is idle next cycle, verifying it for free.
-	if rec.Unit == isa.UnitCTRL || !computable(rec.Instr.Op) {
+	if unit == isa.UnitCTRL || !computable(rec.Dec.Op) {
 		if e.hasPending {
 			e.hasPending = false
 			e.verify(e.pendingEnt.issueInfo(), info.Cycle)
@@ -312,7 +302,7 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	}) {
 		e.st.SkippedTI += eligible
 		if e.hasPending {
-			stall += e.resolvePending(rec.Unit, &[3]bool{}, info.Cycle)
+			stall += e.resolvePending(unit, &[3]bool{}, info.Cycle)
 		}
 		return stall
 	}
@@ -335,9 +325,9 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 	// (DEC-stage): Algorithm 1. Track which unit classes perform a
 	// redundant execution this cycle; the rest may drain the ReplayQ.
 	var used [3]bool
-	used[rec.Unit] = true // busy with the primary execution
+	used[unit] = true // busy with the primary execution
 	if e.hasPending {
-		stall += e.resolvePending(rec.Unit, &used, info.Cycle)
+		stall += e.resolvePending(unit, &used, info.Cycle)
 	}
 	e.drainIdleUnits(used, info.Cycle)
 
@@ -360,7 +350,7 @@ func (e *Engine) Issue(info IssueInfo) (stall int) {
 func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64) (stall int) {
 	p := &e.pendingEnt
 	e.hasPending = false
-	pUnit := p.rec.Unit
+	pUnit := p.rec.Dec.Unit
 
 	if pUnit != curUnit {
 		// Different types: the pending instruction's unit is idle next
@@ -373,7 +363,7 @@ func (e *Engine) resolvePending(curUnit isa.UnitClass, used *[3]bool, now int64)
 	// Same type: try to swap with a different-type ReplayQ entry.
 	if !e.dmtr {
 		for i := range e.q {
-			u := e.q[i].rec.Unit
+			u := e.q[i].rec.Dec.Unit
 			if u != pUnit && !used[u] {
 				ent := e.q[i]
 				e.q = append(e.q[:i], e.q[i+1:]...)
@@ -418,11 +408,12 @@ func (e *Engine) verifyRAWProducers(info IssueInfo) (stall int) {
 		return 0
 	}
 	hits := func(ent *qEntry) bool {
-		if ent.info.WarpGID != info.WarpGID || !ent.rec.DstValid {
+		d := ent.rec.Dec
+		if ent.info.WarpGID != info.WarpGID || !d.HasDst {
 			return false
 		}
 		for _, r := range reads {
-			if r == ent.rec.Dst {
+			if r == d.Dst {
 				return true
 			}
 		}
@@ -476,18 +467,35 @@ func (e *Engine) Drain(at int64) (cycles int) {
 	return cycles
 }
 
+// Lane returns the physical lane that executes thread slot thread under
+// the configured thread->core mapping.
+func (e *Engine) Lane(thread int) int { return int(e.laneFor[thread]) }
+
+// physLanes maps a thread-slot mask to the physical lanes that execute
+// it under the configured thread->core mapping.
+func (e *Engine) physLanes(threads simt.Mask) simt.Mask {
+	var phys simt.Mask
+	for rem := uint32(threads); rem != 0; rem &= rem - 1 {
+		phys |= 1 << e.laneFor[bits.TrailingZeros32(rem)]
+	}
+	return phys
+}
+
 // intraWarp performs spatial DMR for a partially-utilized warp: idle
-// lanes re-execute active lanes' computations via the RFU pairing.
+// lanes re-execute active lanes' computations via the RFU pairing,
+// which works in physical-lane space.
 func (e *Engine) intraWarp(info IssueInfo) {
 	rec := info.Rec
 	if rec.Executing == 0 {
 		return
 	}
-	pairs, covered := e.table.PairWarpInto(info.Phys, e.cfg.WarpSize, e.pairBuf[:0])
+	unit := rec.Dec.Unit
+	phys := e.physLanes(rec.Executing)
+	pairs, covered := e.table.PairWarpInto(phys, e.cfg.WarpSize, e.pairBuf[:0])
 	e.st.VerifiedIntra += int64(covered)
-	e.st.RedundantOps[rec.Unit] += int64(len(pairs))
+	e.st.RedundantOps[unit] += int64(len(pairs))
 	e.tally.pairings += int64(len(pairs))
-	if missed := info.Phys.Count() - covered; missed > 0 {
+	if missed := phys.Count() - covered; missed > 0 {
 		e.tally.missedLanes += int64(missed)
 	}
 	for _, p := range pairs {
@@ -500,7 +508,7 @@ func (e *Engine) intraWarp(info IssueInfo) {
 		if !ok {
 			continue
 		}
-		if red := e.perturb(p.Idle, rec.Unit, golden); red != rec.Vals[thread] {
+		if red := e.perturb(p.Idle, unit, golden); red != rec.Vals[thread] {
 			e.st.FaultsDetected++
 			e.tally.detectLatency.Observe(0) // spatial DMR verifies in the issue cycle
 			if e.onError != nil {
@@ -519,13 +527,14 @@ func (e *Engine) intraWarp(info IssueInfo) {
 // different physical lane than the original (hidden-error avoidance).
 func (e *Engine) verify(info IssueInfo, at int64) {
 	rec := info.Rec
+	unit := rec.Dec.Unit
 	if at < info.Cycle {
 		at = info.Cycle
 	}
 	e.phase++
 	nexec := int64(rec.Executing.Count())
 	e.st.VerifiedInter += nexec
-	e.st.RedundantOps[rec.Unit] += nexec
+	e.st.RedundantOps[unit] += nexec
 	e.tally.verifyLatency.Observe(at - info.Cycle)
 	// Hoist the lane-shuffle rotation out of the per-lane loop: the
 	// phase (and hence ShuffleLane's result per lane) is fixed for the
@@ -552,7 +561,7 @@ func (e *Engine) verify(info IssueInfo, at int64) {
 		if !ok {
 			continue
 		}
-		if red := e.perturb(verif, rec.Unit, golden); red != rec.Vals[thread] {
+		if red := e.perturb(verif, unit, golden); red != rec.Vals[thread] {
 			e.st.FaultsDetected++
 			e.tally.detectLatency.Observe(at - info.Cycle)
 			if e.onError != nil {

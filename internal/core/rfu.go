@@ -22,10 +22,10 @@ import (
 // The pattern is lane = mux XOR priority, which generalizes to any
 // power-of-two cluster size (we use it for the 8-lane variant of
 // Fig. 9a) and gives each MUX a distinct scan order so pairings spread
-// uniformly across lanes.
+// uniformly across lanes. The scans compute it in place; nothing is
+// stored but the cluster size.
 type PriorityTable struct {
-	size  int
-	order [][]int // [mux][priority] -> lane within cluster
+	size int
 }
 
 // NewPriorityTable builds the table for a power-of-two cluster size.
@@ -33,22 +33,20 @@ func NewPriorityTable(clusterSize int) *PriorityTable {
 	if clusterSize <= 0 || clusterSize&(clusterSize-1) != 0 {
 		panic("core: cluster size must be a positive power of two")
 	}
-	t := &PriorityTable{size: clusterSize, order: make([][]int, clusterSize)}
-	for mux := 0; mux < clusterSize; mux++ {
-		row := make([]int, clusterSize)
-		for prio := 0; prio < clusterSize; prio++ {
-			row[prio] = mux ^ prio
-		}
-		t.order[mux] = row
-	}
-	return t
+	return &PriorityTable{size: clusterSize}
 }
 
 // Size returns the cluster size the table was built for.
 func (t *PriorityTable) Size() int { return t.size }
 
-// Order returns the scan order for one MUX.
-func (t *PriorityTable) Order(mux int) []int { return t.order[mux] }
+// Order returns the scan order for one MUX: its column of the table.
+func (t *PriorityTable) Order(mux int) []int {
+	order := make([]int, t.size)
+	for prio := range order {
+		order[prio] = mux ^ prio
+	}
+	return order
+}
 
 // Pairing is one intra-warp DMR assignment within a cluster, in
 // cluster-relative lane numbers.
@@ -64,22 +62,8 @@ type Pairing struct {
 // idle lanes may pick the same active lane (the paper allows more than
 // dual redundancy rather than adding suppression logic).
 func (t *PriorityTable) PairCluster(busy uint32) []Pairing {
-	var out []Pairing
-	if busy == 0 {
-		return nil
-	}
-	for mux := 0; mux < t.size; mux++ {
-		if busy&(1<<uint(mux)) != 0 {
-			continue // MUX's first priority is its own lane: it is busy
-		}
-		for _, lane := range t.order[mux] {
-			if busy&(1<<uint(lane)) != 0 {
-				out = append(out, Pairing{Idle: mux, Active: lane})
-				break
-			}
-		}
-	}
-	return out
+	pairs, _ := t.PairWarpInto(simt.Mask(busy), t.size, nil)
+	return pairs
 }
 
 // PairWarp applies PairCluster to every cluster of a physical lane
@@ -105,8 +89,8 @@ func (t *PriorityTable) PairWarpInto(busy simt.Mask, warpWidth int, buf []Pairin
 			if cb&(1<<uint(mux)) != 0 {
 				continue // MUX's first priority is its own lane: it is busy
 			}
-			for _, lane := range t.order[mux] {
-				if cb&(1<<uint(lane)) != 0 {
+			for prio := 0; prio < t.size; prio++ {
+				if lane := mux ^ prio; cb&(1<<uint(lane)) != 0 {
 					pairs = append(pairs, Pairing{Idle: base + mux, Active: base + lane})
 					coveredMask |= 1 << uint(base+lane)
 					break

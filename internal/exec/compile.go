@@ -183,9 +183,8 @@ func bindLane(in *isa.Instr) laneFn {
 }
 
 // laneFns is the per-op execution table for plain data opcodes: the
-// single implementation of the ISA's lane semantics. Compute and the
-// pre-decoded pipeline both dispatch through it, so the interpreted and
-// compiled paths cannot drift apart.
+// single implementation of the ISA's lane semantics, bound into each
+// Decoded by bindLane and replayed by Record.Recompute.
 var laneFns = [isa.NumOpcodes]laneFn{
 	isa.OpMOV:  func(a, _, _ uint32) uint32 { return a },
 	isa.OpIADD: func(a, b, _ uint32) uint32 { return a + b },

@@ -86,84 +86,54 @@ func (r *Regs) Set(reg isa.Reg, lane int, v uint32) {
 	r.gpr[int(reg)*32+lane] = v
 }
 
-// Operand resolves an operand for a lane.
-func (r *Regs) Operand(o isa.Operand, lane int) uint32 {
-	if o.IsImm {
-		return o.Imm
-	}
-	return r.Read(o.Reg, lane)
-}
-
 // Perturb is a fault-injection hook: given the thread slot (logical
 // lane within the warp), the unit class, and the golden value (result
 // for SP/SFU ops, effective address for LD/ST), it returns the possibly
 // corrupted value. A nil Perturb means fault-free execution.
 type Perturb func(thread int, unit isa.UnitClass, golden uint32) uint32
 
-// Record describes everything the timing model and the DMR layer need
-// to know about one executed warp-instruction. PC and Executing double
-// as the issue-time facts selective-protection policies decide from
-// (core.PolicyFacts): both are computed during the step regardless, so
-// arming a policy adds no work here.
+// Record is what one Machine.Step computed for one warp-instruction,
+// for the timing model and the DMR layer. The instruction's static
+// facts (opcode, unit, destination, memory space, read set) are read
+// through Dec. PC and Executing double as the issue-time facts
+// selective-protection policies decide from (core.PolicyFacts): both
+// are computed during the step regardless, so arming a policy adds no
+// work here.
 //
 // Machine.Step returns a Machine-owned Record that is reused on the
 // next call; its per-lane arrays are only meaningful for Executing
 // lanes. Copy the Record by value to keep it past the next Step.
 type Record struct {
 	PC        int
-	Instr     *isa.Instr
-	Dec       *Decoded // pre-decoded form; nil for hand-built records
-	Unit      isa.UnitClass
+	Dec       *Decoded  // the executed instruction, pre-decoded
 	Active    simt.Mask // path mask before guarding
 	Executing simt.Mask // lanes that actually executed (guard applied)
 
 	// Per-lane operand values captured at issue, for DMR re-execution.
 	SrcVals [3][32]uint32
 
-	// Result values per lane (SP/SFU data ops), or effective addresses
-	// (LD/ST/ATOM). Valid only for Executing lanes.
+	// Result values per lane (SP/SFU data ops and SETP), or effective
+	// addresses (LD/ST/ATOM). Valid only for Executing lanes.
 	Vals [32]uint32
 
-	// Memory behaviour (LD/ST/ATOM only).
-	IsMem   bool
-	Addrs   [32]uint32
-	BankSer int // shared-memory serialization factor
-	IsStore bool
-
-	// Control behaviour.
-	IsBranch  bool
-	Taken     simt.Mask
-	Divergent bool
-	IsBarrier bool
-	IsExit    bool
-
-	// Registers written (for scoreboard release) and read.
-	DstValid bool
-	Dst      isa.Reg
+	BankSer   int  // shared-memory serialization factor (LD/ST/ATOM)
+	Divergent bool // a branch split the warp
 }
 
 // Recompute re-evaluates one lane of the recorded instruction from raw
-// source values — the DMR layer's redundant execution. It dispatches
-// through the pre-bound compute function when the record came from a
-// Machine, falling back to interpreted Compute for hand-built records.
-// ok is false for opcodes that are not lane-computable.
+// source values through its pre-bound compute function — the DMR
+// layer's redundant execution. ok is false for opcodes that are not
+// lane-computable.
 func (r *Record) Recompute(a, b, c uint32) (uint32, bool) {
-	if r.Dec != nil {
-		if r.Dec.compute == nil {
-			return 0, false
-		}
-		return r.Dec.compute(a, b, c), true
+	if r.Dec.compute == nil {
+		return 0, false
 	}
-	return Compute(r.Instr, a, b, c)
+	return r.Dec.compute(a, b, c), true
 }
 
-// SrcRegs returns the general registers the recorded instruction reads,
-// without allocating when the record carries its pre-decoded form.
+// SrcRegs returns the general registers the recorded instruction reads.
 func (r *Record) SrcRegs() []isa.Reg {
-	if r.Dec != nil {
-		return r.Dec.ReadRegs[:r.Dec.NumReads]
-	}
-	return r.Instr.Reads()
+	return r.Dec.ReadRegs[:r.Dec.NumReads]
 }
 
 // guardMask returns the lanes of active that pass the guard predicate.
@@ -176,35 +146,6 @@ func guardMask(r *Regs, pred isa.PredRef, active simt.Mask) simt.Mask {
 		p = ^p
 	}
 	return active & p
-}
-
-// Compute evaluates one lane of a data-processing opcode from raw
-// source values. It must stay a pure function: the DMR layer calls it
-// again on a different physical lane and compares results. ok is false
-// for opcodes that are not lane-computable (control, barriers).
-//
-// Compute dispatches through the same laneFns table the pre-decoded
-// pipeline executes, so the two paths share one implementation.
-func Compute(in *isa.Instr, a, b, c uint32) (val uint32, ok bool) {
-	switch in.Op {
-	case isa.OpSETP:
-		return setpCompute(in.Cmp, in.CmpTy, a, b), true
-	case isa.OpLD, isa.OpST, isa.OpATOM:
-		// Effective address computation (what DMR verifies for memory ops).
-		return a + uint32(in.Off), true
-	case isa.OpNOP, isa.OpPAND, isa.OpPNOT, isa.OpBRA, isa.OpBAR, isa.OpEXIT:
-		// Control and predicate-file ops have no lane-computable result;
-		// the DMR layer verifies them by other means (or not at all).
-		return 0, false
-	case isa.OpMOV, isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD, isa.OpIMIN,
-		isa.OpIMAX, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpNOT, isa.OpSHL,
-		isa.OpSHR, isa.OpSAR, isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFFMA,
-		isa.OpFMIN, isa.OpFMAX, isa.OpFNEG, isa.OpFABS, isa.OpI2F, isa.OpF2I,
-		isa.OpSELP, isa.OpFSIN, isa.OpFCOS, isa.OpFSQRT, isa.OpFRSQRT,
-		isa.OpFRCP, isa.OpFEX2, isa.OpFLG2, isa.OpFDIV:
-		return laneFns[in.Op](a, b, c), true
-	}
-	return 0, false
 }
 
 func cmpOrd(c isa.CmpOp, a, b int64) bool {

@@ -17,6 +17,17 @@ func instr(op isa.Opcode) *isa.Instr {
 	return &isa.Instr{Op: op, Pred: isa.AlwaysPred()}
 }
 
+// compute evaluates one lane of in the way the DMR layer replays it:
+// Compile binds its compute function, and Record.Recompute calls it.
+func compute(in *isa.Instr, a, b, c uint32) (uint32, bool) {
+	comp, err := Compile(&isa.Program{Name: "t", Instrs: []isa.Instr{*in}})
+	if err != nil {
+		panic(err)
+	}
+	rec := Record{Dec: &comp.Code()[0]}
+	return rec.Recompute(a, b, c)
+}
+
 func TestComputeIntegerOps(t *testing.T) {
 	cases := []struct {
 		op      isa.Opcode
@@ -44,7 +55,7 @@ func TestComputeIntegerOps(t *testing.T) {
 		{isa.OpSELP, 11, 22, 0, 22},
 	}
 	for _, c := range cases {
-		got, ok := Compute(instr(c.op), c.a, c.b, c.c)
+		got, ok := compute(instr(c.op), c.a, c.b, c.c)
 		if !ok {
 			t.Errorf("%v not computable", c.op)
 			continue
@@ -72,7 +83,7 @@ func TestComputeFloatOps(t *testing.T) {
 		{isa.OpFDIV, 1, 4, 0, 0.25},
 	}
 	for _, c := range cases {
-		got, ok := Compute(instr(c.op), fb(c.a), fb(c.b), fb(c.c))
+		got, ok := compute(instr(c.op), fb(c.a), fb(c.b), fb(c.c))
 		if !ok || ff(got) != c.want {
 			t.Errorf("%v(%v,%v,%v) = %v, want %v", c.op, c.a, c.b, c.c, ff(got), c.want)
 		}
@@ -81,7 +92,7 @@ func TestComputeFloatOps(t *testing.T) {
 
 func TestComputeSFU(t *testing.T) {
 	approx := func(op isa.Opcode, x, want float32) {
-		got, ok := Compute(instr(op), fb(x), 0, 0)
+		got, ok := compute(instr(op), fb(x), 0, 0)
 		if !ok {
 			t.Fatalf("%v not computable", op)
 		}
@@ -99,19 +110,19 @@ func TestComputeSFU(t *testing.T) {
 }
 
 func TestComputeConversions(t *testing.T) {
-	if got, _ := Compute(instr(isa.OpI2F), negU32(3), 0, 0); ff(got) != -3 {
+	if got, _ := compute(instr(isa.OpI2F), negU32(3), 0, 0); ff(got) != -3 {
 		t.Error("i2f(-3) wrong")
 	}
-	if got, _ := Compute(instr(isa.OpF2I), fb(-3.7), 0, 0); int32(got) != -3 {
+	if got, _ := compute(instr(isa.OpF2I), fb(-3.7), 0, 0); int32(got) != -3 {
 		t.Error("f2i truncation wrong")
 	}
-	if got, _ := Compute(instr(isa.OpF2I), fb(float32(math.NaN())), 0, 0); got != 0 {
+	if got, _ := compute(instr(isa.OpF2I), fb(float32(math.NaN())), 0, 0); got != 0 {
 		t.Error("f2i(NaN) should be 0")
 	}
-	if got, _ := Compute(instr(isa.OpF2I), fb(1e20), 0, 0); int32(got) != math.MaxInt32 {
+	if got, _ := compute(instr(isa.OpF2I), fb(1e20), 0, 0); int32(got) != math.MaxInt32 {
 		t.Error("f2i overflow should clamp high")
 	}
-	if got, _ := Compute(instr(isa.OpF2I), fb(-1e20), 0, 0); int32(got) != math.MinInt32 {
+	if got, _ := compute(instr(isa.OpF2I), fb(-1e20), 0, 0); int32(got) != math.MinInt32 {
 		t.Error("f2i overflow should clamp low")
 	}
 }
@@ -120,44 +131,44 @@ func TestComputeSetp(t *testing.T) {
 	mk := func(cmp isa.CmpOp, ty isa.CmpType) *isa.Instr {
 		return &isa.Instr{Op: isa.OpSETP, Cmp: cmp, CmpTy: ty, Pred: isa.AlwaysPred()}
 	}
-	if v, _ := Compute(mk(isa.CmpLT, isa.CmpS32), negU32(5), 3, 0); v != 1 {
+	if v, _ := compute(mk(isa.CmpLT, isa.CmpS32), negU32(5), 3, 0); v != 1 {
 		t.Error("-5 < 3 signed failed")
 	}
-	if v, _ := Compute(mk(isa.CmpLT, isa.CmpU32), negU32(5), 3, 0); v != 0 {
+	if v, _ := compute(mk(isa.CmpLT, isa.CmpU32), negU32(5), 3, 0); v != 0 {
 		t.Error("0xFFFFFFFB < 3 unsigned should be false")
 	}
-	if v, _ := Compute(mk(isa.CmpGE, isa.CmpF32), fb(2.5), fb(2.5), 0); v != 1 {
+	if v, _ := compute(mk(isa.CmpGE, isa.CmpF32), fb(2.5), fb(2.5), 0); v != 1 {
 		t.Error("2.5 >= 2.5 failed")
 	}
 	nan := fb(float32(math.NaN()))
-	if v, _ := Compute(mk(isa.CmpEQ, isa.CmpF32), nan, nan, 0); v != 0 {
+	if v, _ := compute(mk(isa.CmpEQ, isa.CmpF32), nan, nan, 0); v != 0 {
 		t.Error("NaN == NaN must be false")
 	}
-	if v, _ := Compute(mk(isa.CmpNE, isa.CmpF32), nan, nan, 0); v != 1 {
+	if v, _ := compute(mk(isa.CmpNE, isa.CmpF32), nan, nan, 0); v != 1 {
 		t.Error("NaN != NaN must be true")
 	}
 }
 
 func TestComputeMemAddress(t *testing.T) {
 	in := &isa.Instr{Op: isa.OpLD, Off: 16, Pred: isa.AlwaysPred()}
-	if got, _ := Compute(in, 100, 0, 0); got != 116 {
+	if got, _ := compute(in, 100, 0, 0); got != 116 {
 		t.Errorf("address = %d, want 116", got)
 	}
 	in2 := &isa.Instr{Op: isa.OpST, Off: -4, Pred: isa.AlwaysPred()}
-	if got, _ := Compute(in2, 100, 0, 0); got != 96 {
+	if got, _ := compute(in2, 100, 0, 0); got != 96 {
 		t.Errorf("address = %d, want 96", got)
 	}
 }
 
 func TestComputeNonComputable(t *testing.T) {
 	for _, op := range []isa.Opcode{isa.OpBRA, isa.OpBAR, isa.OpEXIT, isa.OpNOP, isa.OpPAND, isa.OpPNOT} {
-		if _, ok := Compute(instr(op), 0, 0, 0); ok {
+		if _, ok := compute(instr(op), 0, 0, 0); ok {
 			t.Errorf("%v should not be lane-computable", op)
 		}
 	}
 }
 
-// Property: Compute is a pure function — same inputs, same outputs —
+// Property: a lane's compute function is pure — same inputs, same outputs —
 // which is what makes DMR re-execution meaningful.
 func TestComputeDeterministicQuick(t *testing.T) {
 	ops := []isa.Opcode{
@@ -166,8 +177,8 @@ func TestComputeDeterministicQuick(t *testing.T) {
 	}
 	f := func(opIdx uint8, a, b, c uint32) bool {
 		in := instr(ops[int(opIdx)%len(ops)])
-		v1, ok1 := Compute(in, a, b, c)
-		v2, ok2 := Compute(in, a, b, c)
+		v1, ok1 := compute(in, a, b, c)
+		v2, ok2 := compute(in, a, b, c)
 		return ok1 == ok2 && v1 == v2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -180,10 +191,10 @@ func TestComputeAlgebraQuick(t *testing.T) {
 	add := instr(isa.OpIADD)
 	xor := instr(isa.OpXOR)
 	f := func(a, b uint32) bool {
-		ab, _ := Compute(add, a, b, 0)
-		ba, _ := Compute(add, b, a, 0)
-		x1, _ := Compute(xor, a, b, 0)
-		x2, _ := Compute(xor, x1, b, 0)
+		ab, _ := compute(add, a, b, 0)
+		ba, _ := compute(add, b, a, 0)
+		x1, _ := compute(xor, a, b, 0)
+		x2, _ := compute(xor, x1, b, 0)
 		return ab == ba && x2 == a
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -310,9 +321,12 @@ func TestStepMemoryRoundTrip(t *testing.T) {
 			t.Fatalf("lane %d loaded %d", lane, r.Read(2, lane))
 		}
 	}
+	// A memory record's Vals hold each lane's effective address.
 	st := recs[3]
-	if !st.IsMem || !st.IsStore {
-		t.Errorf("store record: IsMem %v, IsStore %v, want both", st.IsMem, st.IsStore)
+	for lane := 0; lane < 32; lane++ {
+		if want := base + 4*uint32(lane); st.Vals[lane] != want {
+			t.Fatalf("store lane %d address %#x, want %#x", lane, st.Vals[lane], want)
+		}
 	}
 }
 
@@ -435,7 +449,7 @@ func TestStepBranchRecords(t *testing.T) {
 	)
 	_, r, recs := stepProgram(t, p, 32, newCtx(), nil)
 	br := recs[2]
-	if !br.IsBranch || !br.Divergent || br.Taken.Count() != 16 {
+	if br.Dec.Op != isa.OpBRA || !br.Divergent {
 		t.Errorf("branch record wrong: %+v", br)
 	}
 	for lane := 0; lane < 32; lane++ {
@@ -488,10 +502,10 @@ func TestStepBarrierRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.IsBarrier || !ws.Ctl.AtBarrier {
+	if rec.Dec.Op != isa.OpBAR || !ws.Ctl.AtBarrier {
 		t.Error("barrier record/state wrong")
 	}
-	if rec.Unit != isa.UnitCTRL {
+	if rec.Dec.Unit != isa.UnitCTRL {
 		t.Error("barrier must be CTRL class")
 	}
 }
@@ -509,7 +523,7 @@ func TestStepGuardedExitRecord(t *testing.T) {
 	_, r, recs := stepProgram(t, p, 32, newCtx(), nil)
 	var exitRec *Record
 	for _, rec := range recs {
-		if rec.IsExit && rec.Executing.Count() == 16 {
+		if rec.Dec.Op == isa.OpEXIT && rec.Executing.Count() == 16 {
 			exitRec = rec
 		}
 	}

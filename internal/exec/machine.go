@@ -102,34 +102,22 @@ func (m *Machine) Step(ws *WarpState) (*Record, error) {
 	}
 	d := &m.code[pc]
 	rec := &m.rec
-	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals,
-	// Addrs) are always read under the Executing mask, so stale lanes
-	// from the previous instruction are never observed.
+	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals)
+	// are always read under the Executing mask, so stale lanes from the
+	// previous instruction are never observed.
 	rec.PC = pc
-	rec.Instr = d.Instr
 	rec.Dec = d
-	rec.Unit = d.Unit
 	rec.Active = ws.Ctl.ActiveMask()
 	rec.Executing = 0
-	rec.IsMem = false
 	rec.BankSer = 0
-	rec.IsStore = false
-	rec.IsBranch = false
-	rec.Taken = 0
 	rec.Divergent = false
-	rec.IsBarrier = false
-	rec.IsExit = false
-	rec.DstValid = false
-	rec.Dst = 0
 	return d.step(m, d, ws, rec)
 }
 
 // Branches use the guard as the branch condition.
 func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
-	rec.IsBranch = true
 	active := rec.Active
 	taken := guardMask(ws.Regs, d.Pred, active)
-	rec.Taken = taken
 	rec.Executing = active
 	switch {
 	case taken == active: // uniform taken (or unconditional)
@@ -151,7 +139,6 @@ func stepBranch(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, er
 func stepExit(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
 	executing := guardMask(ws.Regs, d.Pred, rec.Active)
 	rec.Executing = executing
-	rec.IsExit = true
 	if executing != 0 {
 		ws.Ctl.Exit(executing)
 	} else {
@@ -163,7 +150,6 @@ func stepExit(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 func stepBarrier(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
 	executing := guardMask(ws.Regs, d.Pred, rec.Active)
 	rec.Executing = executing
-	rec.IsBarrier = true
 	ws.Ctl.AtBarrier = true
 	ws.Ctl.Advance()
 	return rec, nil
@@ -244,7 +230,6 @@ func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 	}
 	var dst []uint32
 	if d.HasDst {
-		rec.DstValid, rec.Dst = true, d.Dst
 		dst = r.gprLanes(d.Dst)
 	}
 	fn := d.compute
@@ -295,8 +280,6 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
-	rec.IsMem = true
-	rec.IsStore = d.Op == isa.OpST
 
 	lanes0, imm0 := d.src[0].view(r)
 	var lanes1 []uint32
@@ -323,13 +306,12 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 		if m.perturb != nil {
 			addr = m.perturb(lane, isa.UnitLDST, addr)
 		}
-		rec.Addrs[lane] = addr
 		rec.Vals[lane] = addr
 	}
 
 	switch d.Space {
 	case isa.SpaceShared:
-		rec.BankSer = mem.BankConflictDegree(rec.Addrs[:], uint32(executing), m.banks)
+		rec.BankSer = mem.BankConflictDegree(rec.Vals[:], uint32(executing), m.banks)
 		m.sharedBankExtra += int64(rec.BankSer - 1)
 	case isa.SpaceGlobal, isa.SpaceParam, isa.SpaceLocal:
 		rec.BankSer = 1
@@ -337,11 +319,10 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 
 	switch d.Op {
 	case isa.OpLD:
-		rec.DstValid, rec.Dst = true, d.Dst
 		dst := r.gprLanes(d.Dst)
 		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
 			lane := bits.TrailingZeros32(rem)
-			v, err := ws.load32(d.Space, rec.Addrs[lane])
+			v, err := ws.load32(d.Space, rec.Vals[lane])
 			if err != nil {
 				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
@@ -353,12 +334,11 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 		}
 		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
 			lane := bits.TrailingZeros32(rem)
-			if err := ws.store32(d.Space, rec.Addrs[lane], rec.SrcVals[1][lane]); err != nil {
+			if err := ws.store32(d.Space, rec.Vals[lane], rec.SrcVals[1][lane]); err != nil {
 				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
 		}
 	case isa.OpATOM:
-		rec.DstValid, rec.Dst = true, d.Dst
 		dst := r.gprLanes(d.Dst)
 		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
 			lane := bits.TrailingZeros32(rem)
@@ -366,11 +346,11 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 			var err error
 			switch {
 			case d.Space == isa.SpaceShared:
-				old, err = ws.Mem.Shared.AtomicAdd32(rec.Addrs[lane], rec.SrcVals[1][lane])
+				old, err = ws.Mem.Shared.AtomicAdd32(rec.Vals[lane], rec.SrcVals[1][lane])
 			case ws.Mem.Shadow:
-				old, err = ws.Mem.Global.Load32(rec.Addrs[lane]) // read-only in shadow mode
+				old, err = ws.Mem.Global.Load32(rec.Vals[lane]) // read-only in shadow mode
 			default:
-				old, err = ws.Mem.Global.AtomicAdd32(rec.Addrs[lane], rec.SrcVals[1][lane])
+				old, err = ws.Mem.Global.AtomicAdd32(rec.Vals[lane], rec.SrcVals[1][lane])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)

@@ -296,14 +296,6 @@ func TestWriteFileAndServeDebug(t *testing.T) {
 	}
 }
 
-// TestPublishIdempotent checks that re-publishing the same name does
-// not panic (expvar.Publish would).
-func TestPublishIdempotent(t *testing.T) {
-	r := New()
-	Publish("warped_metrics_test", r)
-	Publish("warped_metrics_test", r) // must not panic
-}
-
 // TestTallyPublish: a tally observed then published leaves a histogram
 // exactly as direct observation would; a tally from a nil histogram
 // discards, and Gauge.Publish keeps the larger high-water mark.

@@ -6,14 +6,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
 )
 
 // Handler returns an http.Handler exposing the standard Go debug
 // surface plus the registry:
 //
 //	/debug/pprof/...   net/http/pprof profiles (heap, cpu, goroutine, …)
-//	/debug/vars        expvar JSON (includes registries passed to Publish)
+//	/debug/vars        expvar JSON (the Go runtime's memstats and cmdline)
 //	/debug/metrics     the registry snapshot as JSON Lines
 //
 // The handler serves live data: every request re-snapshots r, so a
@@ -58,22 +57,4 @@ func (s Snapshot) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-var publishMu sync.Mutex
-var published = map[string]bool{}
-
-// Publish exposes the registry under name in the process-global expvar
-// map, so GET /debug/vars includes a live snapshot of it. Unlike
-// expvar.Publish, calling Publish twice with the same name is safe:
-// the second call is ignored (expvar registrations are process-global
-// and cannot be replaced).
-func Publish(name string, r *Registry) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if published[name] {
-		return
-	}
-	published[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -44,9 +44,9 @@ type PoolOptions struct {
 
 // poolTask pairs a unit of work with its completion callback.
 type poolTask struct {
-	seq  int
-	fn   func() error
-	done func(error)
+	index int // 0-based among the tasks the pool accepted
+	fn    func() error
+	done  func(error)
 }
 
 // Pool is the long-lived sibling of Map: a fixed set of workers
@@ -67,7 +67,7 @@ type Pool struct {
 
 	mu       sync.Mutex
 	draining bool
-	seq      int
+	accepted int // tasks admitted so far: the next task's index
 
 	wg      sync.WaitGroup
 	settled chan struct{} // closed once all workers have exited
@@ -117,10 +117,10 @@ func (p *Pool) Submit(fn func() error, done func(error)) error {
 	if p.draining {
 		return ErrPoolDraining
 	}
-	p.seq++
-	t := poolTask{seq: p.seq, fn: fn, done: done}
+	t := poolTask{index: p.accepted, fn: fn, done: done}
 	select {
 	case p.tasks <- t:
+		p.accepted++
 		p.met.QueueDepth.Add(1)
 		return nil
 	default:
@@ -152,19 +152,12 @@ func (p *Pool) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (p *Pool) Draining() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draining
-}
-
 // worker consumes tasks until the queue is closed and drained.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
 		p.met.QueueDepth.Add(-1)
-		err := runTask(p.met, t.seq, t.fn)
+		err := runTask(p.met, t.index, t.fn)
 		if t.done != nil {
 			t.done(err)
 		}

@@ -31,9 +31,6 @@ func TestPoolSubmitAfterDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Submit after Drain deadlocked")
 	}
-	if !p.Draining() {
-		t.Fatal("Draining() = false after Drain")
-	}
 }
 
 // TestPoolSubmitDrainRace hammers Submit concurrently with Drain: every
@@ -201,7 +198,7 @@ func TestPoolRejectsNilTask(t *testing.T) {
 // TestTaskAccounting sends a success, a panic and an error through Map
 // and through Pool. Both paths must count them alike in the runner.*
 // instruments and answer the panic as a *PanicError carrying the
-// task's index: Map's submission index, Pool's submission sequence.
+// task's 0-based submission index.
 func TestTaskAccounting(t *testing.T) {
 	boom := errors.New("boom")
 	tasks := []func() error{
@@ -244,7 +241,7 @@ func TestTaskAccounting(t *testing.T) {
 				t.Errorf("success answered %v and error answered %v, want nil and %v", errs[0], errs[2], boom)
 			}
 			return errs[1]
-		}, 2},
+		}, 1},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -272,5 +269,36 @@ func TestTaskAccounting(t *testing.T) {
 				t.Errorf("runner.task_latency_ms observed %d tasks, want 3", h.Count)
 			}
 		})
+	}
+}
+
+// TestPoolIndexCountsAcceptedTasks: a Pool numbers the tasks it accepts
+// from 0, as Map numbers its tasks; a submission refused with
+// ErrQueueFull takes no index.
+func TestPoolIndexCountsAcceptedTasks(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1})
+	started, release, second := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	if err := p.Submit(func() error { close(started); <-release; return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := p.Submit(func() error { close(second); return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit(func() error { return nil }, nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third Submit = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	<-second // the queued task has left the queue: there is room again
+	answered := make(chan error, 1)
+	if err := p.Submit(func() error { panic("boom") }, func(err error) { answered <- err }); err != nil {
+		t.Fatal(err)
+	}
+	var pe *PanicError
+	if err := <-answered; !errors.As(err, &pe) || pe.Index != 2 {
+		t.Errorf("third accepted task answered %v, want a *PanicError with index 2", err)
+	}
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

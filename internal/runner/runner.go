@@ -67,7 +67,7 @@ func (o Options) workers(n int) int {
 
 // PanicError is the error result of a task that panicked.
 type PanicError struct {
-	Index int    // submission index of the panicking task
+	Index int    // 0-based submission index of the panicking task (a Pool counts accepted tasks only)
 	Value any    // the recovered panic value
 	Stack []byte // stack captured at recovery
 }

@@ -114,6 +114,18 @@ type ConfigSpec struct {
 // would let one small request tie up the coordinator at submit.
 const maxFaults = 64
 
+// Admission limits on the spec values whose cost grows with them, each
+// a generous multiple of the largest any doc, test or bundled workload
+// uses (30 SMs, a 10-entry ReplayQ, an 8-block grid, retry 3).
+// Canonicalize answers a value above its limit with an error naming
+// the field, the value and the limit.
+const (
+	maxSMs        = 256  // config.sms: every launch builds every SM
+	maxReplayQ    = 128  // config.replayq: allocated per SM on every launch
+	maxGridBlocks = 1024 // grid_x * grid_y of an inline kernel
+	maxRetry      = 16   // retry: attempts of the whole workload
+)
+
 // FaultSpec is a fault-injection campaign: explicit faults, random
 // draws, or both (explicit faults injected first), at most maxFaults
 // in all.
@@ -212,6 +224,10 @@ func (s *JobSpec) Canonicalize() (*canonicalJob, error) {
 		if c.GridX < 0 || c.GridY < 0 || c.BlockX < 0 || c.BlockY < 0 {
 			return nil, fmt.Errorf("service: launch geometry must be positive")
 		}
+		if c.GridX > maxGridBlocks || c.GridY > maxGridBlocks || c.GridX*c.GridY > maxGridBlocks {
+			return nil, fmt.Errorf("service: grid_x %d x grid_y %d exceeds the limit of %d blocks",
+				c.GridX, c.GridY, maxGridBlocks)
+		}
 		c.SharedBytes = s.SharedBytes
 		if c.SharedBytes < 0 {
 			return nil, fmt.Errorf("service: shared_bytes must be non-negative")
@@ -245,6 +261,9 @@ func (s *JobSpec) Canonicalize() (*canonicalJob, error) {
 	}
 	c.Faults = faults
 
+	if s.Retry > maxRetry {
+		return nil, fmt.Errorf("service: retry %d exceeds the limit of %d", s.Retry, maxRetry)
+	}
 	c.Attempts = s.Retry
 	if c.Attempts < 1 {
 		c.Attempts = 1
@@ -322,12 +341,18 @@ func (cs *ConfigSpec) resolve() (arch.Config, error) {
 		cfg.Mapping = m
 	}
 	if cs.ReplayQ != nil {
+		if *cs.ReplayQ > maxReplayQ {
+			return cfg, fmt.Errorf("service: config.replayq %d exceeds the limit of %d", *cs.ReplayQ, maxReplayQ)
+		}
 		cfg.ReplayQSize = *cs.ReplayQ
 	}
 	if cs.Cluster != nil {
 		cfg.ClusterSize = *cs.Cluster
 	}
 	if cs.SMs != nil {
+		if *cs.SMs > maxSMs {
+			return cfg, fmt.Errorf("service: config.sms %d exceeds the limit of %d", *cs.SMs, maxSMs)
+		}
 		cfg.NumSMs = *cs.SMs
 	}
 	if cs.LaneShuffle != nil {

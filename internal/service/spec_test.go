@@ -152,6 +152,7 @@ func TestHashPolicyNormalization(t *testing.T) {
 
 // TestCanonicalizeRejects: malformed specs fail loudly at admission.
 func TestCanonicalizeRejects(t *testing.T) {
+	n := func(v int) *int { return &v }
 	bad := map[string]*JobSpec{
 		"empty":             {},
 		"both workloads":    {Benchmark: "MatrixMul", Source: "exit\n"},
@@ -168,6 +169,14 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"negative shared":   {Source: "exit\n", SharedBytes: -4},
 		"bad policy":        {Benchmark: "MatrixMul", Policy: "quantum"},
 		"bad policy arg":    {Benchmark: "MatrixMul", Policy: "warpsample:1/0"},
+		"sms 257":           {Benchmark: "SHA", Config: &ConfigSpec{SMs: n(maxSMs + 1)}},
+		"sms 200000":        {Benchmark: "SHA", Config: &ConfigSpec{SMs: n(200_000)}},
+		"replayq 129":       {Benchmark: "SHA", Config: &ConfigSpec{ReplayQ: n(maxReplayQ + 1)}},
+		"replayq 10000000":  {Benchmark: "SHA", Config: &ConfigSpec{ReplayQ: n(10_000_000)}},
+		"grid_x 2e9":        {Source: "exit\n", GridX: 2_000_000_000},
+		"grid_y 1025":       {Source: "exit\n", GridY: maxGridBlocks + 1},
+		"grid 64x32":        {Source: "exit\n", GridX: 64, GridY: 32},
+		"retry 17":          {Benchmark: "MatrixMul", Retry: maxRetry + 1},
 	}
 	for name, spec := range bad {
 		if _, err := spec.Canonicalize(); err == nil {
@@ -181,6 +190,19 @@ func TestCanonicalizeRejects(t *testing.T) {
 	} {
 		if _, err := (&JobSpec{Benchmark: "MatrixMul", Faults: fs}).Canonicalize(); err != nil {
 			t.Errorf("%d explicit + %d random faults: %v", len(fs.Faults), fs.Random, err)
+		}
+	}
+	// At each admission limit a job is admitted.
+	for name, spec := range map[string]*JobSpec{
+		"sms 256":     {Benchmark: "SHA", Config: &ConfigSpec{SMs: n(maxSMs)}},
+		"replayq 128": {Benchmark: "SHA", Config: &ConfigSpec{ReplayQ: n(maxReplayQ)}},
+		"grid 1024x1": {Source: "exit\n", GridX: maxGridBlocks},
+		"grid 1x1024": {Source: "exit\n", GridY: maxGridBlocks},
+		"grid 32x32":  {Source: "exit\n", GridX: 32, GridY: 32},
+		"retry 16":    {Benchmark: "MatrixMul", Retry: maxRetry},
+	} {
+		if _, err := spec.Canonicalize(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

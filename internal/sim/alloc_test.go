@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"warped/internal/arch"
+	"warped/internal/core"
 	"warped/internal/fault"
 	"warped/internal/isa"
 	"warped/internal/metrics"
@@ -98,5 +100,48 @@ func TestLaunchSteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("%s: longer kernel allocates %.1f more objects per launch (short %.1f, long %.1f); issue path is allocating per instruction",
 				name, delta, short, long)
 		}
+	}
+}
+
+// TestLaunchSetupAllocs bounds what one launch allocates on the default
+// 30-SM machine. Each SM's engine is built from the launch's policy and
+// instrument set, its L1 tags are one array, and only an engine with
+// inter-warp DMR holds a ReplayQ: a DMR-off launch allocates at least
+// the warped launch's ReplayQ bytes fewer.
+func TestLaunchSetupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own; CI runs this guard without -race")
+	}
+	perLaunch := func(cfg arch.Config) (objects float64, bytes uint64) {
+		g, err := New(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := loopKernel(10)
+		run := func() {
+			if _, err := g.Launch(k, LaunchOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objects = testing.AllocsPerRun(10, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	warped := arch.WarpedDMRConfig()
+	objects, warpedBytes := perLaunch(warped)
+	const maxObjects = 260 // 244 measured
+	if objects > maxObjects {
+		t.Errorf("a one-block warped launch allocates %.0f objects, want at most %d", objects, maxObjects)
+	}
+	_, offBytes := perLaunch(arch.PaperConfig())
+	replayQ := uint64(warped.NumSMs * warped.ReplayQSize * core.ReplayQEntryBytes)
+	if offBytes+replayQ > warpedBytes {
+		t.Errorf("a DMR-off launch allocates %d bytes against %d warped; want at least the %d bytes of ReplayQ fewer",
+			offBytes, warpedBytes, replayQ)
 	}
 }

@@ -213,21 +213,22 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 	if err != nil {
 		return nil, err
 	}
-	// Resolve instrument sets once per launch; all SMs of the launch
-	// publish into them when it returns. With opts.Metrics nil these are
-	// all-nil no-op sets.
-	met := launchMetrics{
-		sim:  metrics.ForSim(opts.Metrics),
-		exec: metrics.ForExec(opts.Metrics),
-		dmr:  metrics.ForDMR(opts.Metrics, g.Cfg.WarpSize, g.Cfg.ClusterSize),
+	// Resolve the protection policy against the kernel's name and the
+	// instrument sets once per launch; every SM's engine is built from
+	// them, and all SMs publish into the sets when the launch returns.
+	// PolicyFull compiles to nil, leaving the issue path byte-identical;
+	// with opts.Metrics nil the sets are all-nil no-ops.
+	l := &launchEnv{
+		comp:    comp,
+		policy:  core.CompilePolicy(g.Cfg.Policy, k.Prog.Name),
+		fault:   opts.Fault,
+		onError: onError,
+		sim:     metrics.ForSim(opts.Metrics),
+		exec:    metrics.ForExec(opts.Metrics),
+		dmr:     metrics.ForDMR(opts.Metrics, g.Cfg.WarpSize, g.Cfg.ClusterSize),
 	}
-	// Resolve the protection policy once per launch, against the real
-	// kernel name (NewEngine compiled it with an empty name). PolicyFull
-	// compiles to nil, leaving the issue path byte-identical.
-	pol := core.CompilePolicy(g.Cfg.Policy, k.Prog.Name)
 	for i := range sms {
-		sms[i] = newSM(i, g, comp, opts.Fault, onError, met)
-		sms[i].engine.SetPolicy(pol)
+		sms[i] = newSM(i, g, l)
 		perSM[i] = sms[i].stats()
 	}
 	// Every return from here on (completion, crash, deadlock, watchdog,

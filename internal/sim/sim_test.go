@@ -9,7 +9,6 @@ import (
 	"warped/internal/asm"
 	isa2 "warped/internal/isa"
 	"warped/internal/mem"
-	"warped/internal/simt"
 	"warped/internal/stats"
 	"warped/internal/trace"
 )
@@ -297,35 +296,6 @@ LOOP:
 	if st.Cycles > 4*perBlock {
 		t.Errorf("60 blocks on 30 SMs took %d cycles; expected ~2 blocks' worth (%d)",
 			st.Cycles, 2*perBlock)
-	}
-}
-
-func TestPhysMask(t *testing.T) {
-	mk := func(cfg arch.Config) *sm {
-		s := &sm{cfg: cfg}
-		for i := 0; i < 32; i++ {
-			s.laneFor[i] = uint8(cfg.LaneForThread(i))
-		}
-		return s
-	}
-	cfg := arch.PaperConfig()
-	cfg.Mapping = arch.MapLinear
-	m := simt.Mask(0x0000000F)
-	if mk(cfg).physMask(m) != m {
-		t.Error("linear mapping must be identity")
-	}
-	cfg.Mapping = arch.MapClusterRR
-	s := mk(cfg)
-	// Threads 0..3 go to clusters 0..3, slot 0: lanes 0,4,8,12.
-	want := simt.Mask(1 | 1<<4 | 1<<8 | 1<<12)
-	if got := s.physMask(m); got != want {
-		t.Errorf("physMask = %08x, want %08x", got, want)
-	}
-	// Property: popcount preserved for random masks.
-	for _, m := range []simt.Mask{0, 0xFFFFFFFF, 0x12345678, 0x80000001} {
-		if s.physMask(m).Count() != m.Count() {
-			t.Errorf("physMask changed popcount for %08x", m)
-		}
 	}
 }
 

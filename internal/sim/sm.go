@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"warped/internal/arch"
 	"warped/internal/cache"
@@ -95,7 +94,6 @@ type sm struct {
 	l1        *cache.Cache // per-SM L1 data cache (nil when off)
 	err       error
 
-	laneFor  [32]uint8  // thread slot -> physical lane (pre-resolved mapping)
 	regBanks int        // register banks per SIMT cluster (pre-resolved)
 	segBuf   [32]uint32 // scratch for mem.SegmentBases
 	issueNow int64      // cycle of the in-flight Machine.Step (fault hook)
@@ -112,28 +110,31 @@ type sm struct {
 	stackDepth  metrics.Tally
 }
 
-// launchMetrics are the instrument sets of one launch, resolved once
-// and shared by its SMs.
-type launchMetrics struct {
-	sim  *metrics.Sim
-	exec *metrics.Exec
-	dmr  *metrics.DMR
+// launchEnv is what one Launch resolves once and shares across its SMs:
+// the compiled program, its protection policy, the fault hook and
+// error callback, and the instrument sets.
+type launchEnv struct {
+	comp    *exec.Compiled
+	policy  core.ProtectionPolicy
+	fault   FaultHook
+	onError func(core.ErrorEvent)
+	sim     *metrics.Sim
+	exec    *metrics.Exec
+	dmr     *metrics.DMR
 }
 
-func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(core.ErrorEvent), met launchMetrics) *sm {
+func newSM(id int, g *GPU, l *launchEnv) *sm {
 	s := &sm{
 		id: id, cfg: g.Cfg, gpu: g, greedy: [2]int{-1, -1},
 		regBanks:   g.Cfg.RegBanksPerCluster(),
-		met:        met.sim,
-		stackDepth: met.sim.StackDepth.Tally(),
-	}
-	for t := 0; t < 32; t++ {
-		s.laneFor[t] = uint8(g.Cfg.LaneForThread(t))
+		met:        l.sim,
+		stackDepth: l.sim.StackDepth.Tally(),
 	}
 	if g.Cfg.ModelCaches {
 		s.l1 = cache.New(g.Cfg.L1)
 	}
-	s.kName = comp.Prog().Name
+	s.kName = l.comp.Prog().Name
+	fault := l.fault
 	if fault != nil && !fault.CanFire(id) {
 		fault = nil // this SM's lanes can never be touched: run fault-free
 	}
@@ -141,7 +142,7 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 	if fault != nil {
 		pcHook, _ := fault.(PCFaultHook)
 		perturb = func(thread int, unit isa.UnitClass, golden uint32) uint32 {
-			lane := int(s.laneFor[thread])
+			lane := s.engine.Lane(thread)
 			var v uint32
 			var changed bool
 			if pcHook != nil {
@@ -155,9 +156,9 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 			return v
 		}
 	}
-	s.machine = exec.NewMachine(comp, exec.Opts{
+	s.machine = exec.NewMachine(l.comp, exec.Opts{
 		Banks:   g.Cfg.NumSharedBanks,
-		Metrics: met.exec,
+		Metrics: l.exec,
 		Perturb: perturb,
 	})
 	s.code = s.machine.Code()
@@ -168,8 +169,7 @@ func newSM(id int, g *GPU, comp *exec.Compiled, fault FaultHook, onError func(co
 			return v
 		}
 	}
-	s.engine = core.NewEngine(g.Cfg, id, &s.st, perturbPhys, onError)
-	s.engine.SetMetrics(met.dmr)
+	s.engine = core.NewEngine(g.Cfg, id, &s.st, l.policy, l.dmr, perturbPhys, l.onError)
 	return s
 }
 
@@ -375,14 +375,14 @@ func (s *sm) regBankConflictCycles(d *exec.Decoded) int64 {
 	return extra
 }
 
-// latency returns the writeback latency for an executed record.
+// latency returns the writeback latency of a non-memory unit class.
 // Memory costs (latency, DRAM bandwidth, cache effects) are handled by
 // memCosts at issue time.
-func (s *sm) latency(rec *exec.Record) int64 {
+func (s *sm) latency(unit isa.UnitClass) int64 {
 	switch {
-	case rec.Unit == isa.UnitCTRL:
+	case unit == isa.UnitCTRL:
 		return 1
-	case rec.Unit == isa.UnitSFU:
+	case unit == isa.UnitSFU:
 		return int64(s.cfg.SFULat)
 	default:
 		return int64(s.cfg.SPLat)
@@ -390,8 +390,9 @@ func (s *sm) latency(rec *exec.Record) int64 {
 }
 
 // memCosts computes the writeback latency and LD/ST occupancy of a
-// memory record, probing the L1/L2 hierarchy and charging DRAM
-// bandwidth for the segments that reach memory.
+// memory record from its effective addresses (rec.Vals), probing the
+// L1/L2 hierarchy and charging DRAM bandwidth for the segments that
+// reach memory.
 func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 	switch rec.Dec.Space {
 	case isa.SpaceShared, isa.SpaceParam:
@@ -400,7 +401,7 @@ func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 		// Fall out to the cache/DRAM path below.
 	}
 
-	bases := mem.SegmentBases(s.segBuf[:0], rec.Addrs[:], uint32(rec.Executing), s.cfg.CoalesceBytes)
+	bases := mem.SegmentBases(s.segBuf[:0], rec.Vals[:], uint32(rec.Executing), s.cfg.CoalesceBytes)
 	occ = int64(len(bases))
 	if occ < 1 {
 		occ = 1
@@ -442,7 +443,7 @@ func (s *sm) memCosts(rec *exec.Record) (lat, occ int64) {
 				worst = int64(s.cfg.L2Lat)
 			}
 			s.l1.Invalidate(b)
-		case rec.IsStore:
+		case rec.Dec.Op == isa.OpST:
 			// Write-through, no-allocate: probe L2 without charging
 			// DRAM on hit; drop any stale L1 copy.
 			s.l1.Invalidate(b)
@@ -568,13 +569,14 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 		return
 	}
 
+	d := rec.Dec
 	if s.gpu.tracer != nil {
 		s.gpu.tracer.Emit(trace.Event{
 			Cycle: now, SM: s.id, WarpGID: wc.gid,
 			BlockID: wc.block.id, WarpID: wc.ws.Ctl.ID,
-			PC: rec.PC, Op: rec.Dec.Op, Unit: rec.Unit,
+			PC: rec.PC, Op: d.Op, Unit: d.Unit,
 			Executing: rec.Executing, Divergent: rec.Divergent,
-			Stores: rec.IsStore,
+			Stores: d.Op == isa.OpST,
 		})
 	}
 
@@ -582,21 +584,21 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 	s.st.WarpInstrs++
 	nExec := rec.Executing.Count()
 	s.st.ThreadInstrs += int64(nExec)
-	if rec.Unit != isa.UnitCTRL {
+	if d.Unit != isa.UnitCTRL {
 		if nExec > 0 {
 			s.st.ActiveHist[stats.ActiveBucket(nExec)]++
 		}
-		s.st.TypeHist[rec.Unit]++
-		s.st.Runs.Observe(rec.Unit)
-		s.st.UnitOps[rec.Unit]++
+		s.st.TypeHist[d.Unit]++
+		s.st.Runs.Observe(d.Unit)
+		s.st.UnitOps[d.Unit]++
 		// Bank-level accounting: a 128-bit bank entry feeds a whole
 		// cluster, so register traffic is counted per warp instruction.
-		s.st.RegFileReads += int64(rec.Dec.NSrc)
-		if rec.DstValid {
+		s.st.RegFileReads += int64(d.NSrc)
+		if d.HasDst {
 			s.st.RegFileWrites++
 		}
-		if rec.IsMem {
-			switch rec.Dec.Space {
+		if d.Unit == isa.UnitLDST {
+			switch d.Space {
 			case isa.SpaceShared, isa.SpaceParam:
 				s.st.SharedAccesses++
 			case isa.SpaceGlobal, isa.SpaceLocal:
@@ -604,23 +606,23 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 			}
 		}
 	}
-	if wc.tracked && s.st.RAW != nil && rec.Unit != isa.UnitCTRL {
+	if wc.tracked && s.st.RAW != nil && d.Unit != isa.UnitCTRL {
 		for _, r := range rec.SrcRegs() {
 			s.st.RAW.Read(r, now)
 		}
-		if rec.DstValid {
-			s.st.RAW.Write(rec.Dst, now)
+		if d.HasDst {
+			s.st.RAW.Write(d.Dst, now)
 		}
 	}
 
 	// --- timing updates ---
 	var lat, occ int64
-	if rec.IsMem {
+	if d.Unit == isa.UnitLDST {
 		lat, occ = s.memCosts(rec)
 	} else {
-		lat, occ = s.latency(rec), 1
+		lat, occ = s.latency(d.Unit), 1
 	}
-	switch rec.Unit {
+	switch d.Unit {
 	case isa.UnitSP:
 		s.spBusy[sched] = now + occ
 	case isa.UnitSFU:
@@ -630,22 +632,22 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 	case isa.UnitCTRL:
 		// Control ops occupy no unit.
 	}
-	if rec.DstValid {
-		if rec.Unit != isa.UnitCTRL {
-			if rb := s.regBankConflictCycles(rec.Dec); rb > 0 {
+	if d.HasDst {
+		if d.Unit != isa.UnitCTRL {
+			if rb := s.regBankConflictCycles(d); rb > 0 {
 				lat += rb
 				s.st.RegBankConflicts += rb
 			}
 		}
-		wc.ready[rec.Dst] = now + lat
+		wc.ready[d.Dst] = now + lat
 	}
 
 	// --- control events ---
 	switch {
-	case rec.IsBarrier:
+	case d.Op == isa.OpBAR:
 		wc.block.atBarrier++
 		s.maybeReleaseBarrier(wc.block)
-	case rec.IsExit && wc.ws.Ctl.Done():
+	case d.Op == isa.OpEXIT && wc.ws.Ctl.Done():
 		wc.block.live--
 		s.maybeReleaseBarrier(wc.block)
 		if wc.block.live == 0 {
@@ -654,28 +656,7 @@ func (s *sm) issue(wc *warpCtx, sched int, now int64) {
 	}
 
 	// --- Warped-DMR hook ---
-	s.stall += s.engine.Issue(core.IssueInfo{
-		Rec:     rec,
-		WarpGID: wc.gid,
-		Phys:    s.physMask(rec.Executing),
-		Width:   wc.ws.Ctl.Width(),
-		Cycle:   now,
-	})
-}
-
-// physMask converts a logical thread-slot mask to a physical-lane mask
-// under the configured thread->core mapping, via the pre-resolved
-// lane table.
-func (s *sm) physMask(logical simt.Mask) simt.Mask {
-	if s.cfg.Mapping == arch.MapLinear {
-		return logical
-	}
-	var out simt.Mask
-	for rem := uint32(logical); rem != 0; rem &= rem - 1 {
-		t := bits.TrailingZeros32(rem)
-		out |= 1 << uint(s.laneFor[t])
-	}
-	return out
+	s.stall += s.engine.Issue(core.IssueInfo{Rec: rec, WarpGID: wc.gid, Cycle: now})
 }
 
 func (s *sm) maybeReleaseBarrier(b *blockCtx) {

@@ -154,16 +154,3 @@ func (c *CSVWriter) Emit(e Event) {
 		c.Err = err
 	}
 }
-
-// Filter forwards only events accepted by Keep.
-type Filter struct {
-	Keep func(Event) bool
-	Next Sink
-}
-
-// Emit forwards e when Keep(e) is true.
-func (f Filter) Emit(e Event) {
-	if f.Keep == nil || f.Keep(e) {
-		f.Next.Emit(e)
-	}
-}

@@ -78,25 +78,6 @@ func TestCSVWriter(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRing(16)
-	f := Filter{
-		Keep: func(e Event) bool { return e.Unit == isa.UnitLDST },
-		Next: r,
-	}
-	f.Emit(ev(1, 1)) // SP: dropped
-	f.Emit(Event{Cycle: 2, Op: isa.OpLD, Unit: isa.UnitLDST})
-	if r.Len() != 1 {
-		t.Errorf("filter kept %d events, want 1", r.Len())
-	}
-	// Nil Keep passes everything.
-	all := Filter{Next: r}
-	all.Emit(ev(3, 3))
-	if r.Len() != 2 {
-		t.Error("nil Keep should forward")
-	}
-}
-
 func TestSinkFunc(t *testing.T) {
 	n := 0
 	var s Sink = SinkFunc(func(Event) { n++ })
