@@ -1,7 +1,6 @@
 // Package client is the typed Go client of the warpd daemon
-// (cmd/warpd): submit simulation jobs, wait for them to finish, and
-// fetch deterministic results over the HTTP/JSON API documented in
-// docs/SERVICE.md.
+// (cmd/warpd): submit simulation jobs and wait for their deterministic
+// results over the HTTP/JSON API documented in docs/SERVICE.md.
 //
 // Quick start:
 //
@@ -14,7 +13,9 @@
 // Retry-After) and transient transport failures with capped
 // exponential backoff; a draining daemon (503) and spec errors (4xx)
 // fail fast. Wait long-polls the job's status, so it returns as soon
-// as the daemon finishes the job rather than on a polling timer.
+// as the daemon finishes the job rather than on a polling timer, and
+// the status answer that reports the job done carries its result: a
+// job costs two exchanges, the submission and one status request.
 package client
 
 import (
@@ -57,10 +58,15 @@ type (
 // and no longer admits jobs.
 var ErrDraining = errors.New("client: daemon is draining")
 
-// APIError is a non-2xx daemon answer that is not retried.
+// APIError is a non-2xx daemon answer that is not retried, or Wait's
+// answer for a failed job.
 type APIError struct {
 	StatusCode int
 	Message    string
+
+	// JobError is the error of a job that failed on the daemon, as its
+	// failed status reports it; empty for any other answer.
+	JobError string
 }
 
 func (e *APIError) Error() string {
@@ -203,11 +209,14 @@ func (c *Client) Result(ctx context.Context, id string) (*ResultResponse, error)
 }
 
 // Wait blocks until the job finishes and returns its result; a failed
-// job returns the daemon's error as *APIError. Each status request is a
-// long-poll (?wait=D) that the daemon answers when the job finishes, so
-// Wait returns as soon as it does. D is the daemon's 30 s cap, lowered
-// to half of RequestTimeout and half of the http.Client's Timeout when
-// those are set, so that a long-poll never reads as a failed exchange.
+// job returns the daemon's error as *APIError, with JobError set. Each
+// status request is a long-poll (?wait=D) that the daemon answers when
+// the job finishes, so Wait returns as soon as it does, with the result
+// the done status carries. A done status without one (a daemon that
+// predates it) is followed by a Result request. D is the daemon's 30 s
+// cap, lowered to half of RequestTimeout and half of the http.Client's
+// Timeout when those are set, so that a long-poll never reads as a
+// failed exchange.
 // A status answer that is not final (the wait expired, or the daemon
 // ignores it) is asked again after PollInterval. A 429 answer (a loaded
 // daemon shedding read traffic) is not fatal: Wait honors its
@@ -233,10 +242,13 @@ func (c *Client) Wait(ctx context.Context, id string) (*ResultResponse, error) {
 			}
 			switch st.Status {
 			case "done":
+				if st.Result != nil && st.Result.Stats != nil {
+					return &ResultResponse{ID: id, JobResult: *st.Result}, nil
+				}
 				return c.Result(ctx, id)
 			case "failed":
 				return nil, &APIError{StatusCode: http.StatusInternalServerError,
-					Message: fmt.Sprintf("job %s failed: %s", id, st.Error)}
+					Message: fmt.Sprintf("job %s failed: %s", id, st.Error), JobError: st.Error}
 			}
 		case http.StatusTooManyRequests:
 			if d := resp.retryAfter; d > 0 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,6 +160,68 @@ func TestWaitRepollsAfterPollInterval(t *testing.T) {
 		if gap := polls[i].Sub(polls[i-1]); gap < interval {
 			t.Errorf("status request %d came %v after the last, want >= %v", i+1, gap, interval)
 		}
+	}
+}
+
+// TestWaitResultFromStatus: Wait returns the result a done status
+// carries, with no further exchange; a done status without one (a
+// daemon that predates it) is followed by GET /result; and a status
+// that is not done is never taken as a result, even one carrying a
+// result.
+func TestWaitResultFromStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status string   // every answer but /result's
+		gets   []string // the paths Wait requests, in order
+		want   int      // the result's Attempts; 0: Wait returns no result
+	}{
+		{"done carries the result", `{"id":"j6","status":"done","result":{"stats":{"Cycles":7},"attempts":2}}`,
+			[]string{"/v1/jobs/j6"}, 2},
+		{"bare done falls back to /result", `{"id":"j6","status":"done"}`,
+			[]string{"/v1/jobs/j6", "/v1/jobs/j6/result"}, 3},
+		{"running is no result", `{"status":"running"}`, nil, 0},
+		{"running with a result is no result", `{"id":"j6","status":"running","result":{"stats":{"Cycles":7},"attempts":2}}`, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var gets []string
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				gets = append(gets, r.URL.Path)
+				mu.Unlock()
+				if r.URL.Path == "/v1/jobs/j6/result" && tc.want != 0 {
+					_, _ = w.Write([]byte(`{"id":"j6","stats":{"Cycles":7},"attempts":3}`))
+					return
+				}
+				_, _ = w.Write([]byte(tc.status))
+			}))
+			defer ts.Close()
+
+			c := New(ts.URL)
+			c.PollInterval = time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			res, err := c.Wait(ctx, "j6")
+			mu.Lock()
+			defer mu.Unlock()
+			if tc.want == 0 {
+				if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("Wait = %+v, %v; want no result until the deadline", res, err)
+				}
+				for _, p := range gets {
+					if p != "/v1/jobs/j6" {
+						t.Errorf("Wait requested %s; want only status requests", p)
+					}
+				}
+				return
+			}
+			if err != nil || res.ID != "j6" || res.Attempts != tc.want || res.Stats == nil || res.Stats.Cycles != 7 {
+				t.Fatalf("Wait = %+v, %v; want j6 with 7 cycles in %d attempts", res, err, tc.want)
+			}
+			if strings.Join(gets, " ") != strings.Join(tc.gets, " ") {
+				t.Errorf("Wait requested %v, want %v", gets, tc.gets)
+			}
+		})
 	}
 }
 

@@ -42,11 +42,10 @@ func (e *heldExecutor) run(spec *service.JobSpec) (*service.JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.worker.Wait(context.Background(), resp.ID, time.Minute)
-	if r, _ := e.worker.Result(resp.ID); r != nil {
-		return &r.JobResult, nil
+	st, _ := e.worker.Wait(context.Background(), resp.ID, time.Minute)
+	if st.Result != nil {
+		return st.Result, nil
 	}
-	st, _ := e.worker.Status(resp.ID)
 	return nil, errors.New(st.Error)
 }
 
@@ -223,6 +222,21 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 						t.Errorf("replayq 10000000 = %d %q, want 400 naming the field, the value and the limit", code, msg)
 					}
 				}},
+				{"over-limit block and shared memory are 400", func(t *testing.T) {
+					for _, tc := range []struct{ spec, want string }{
+						{`{"source": ".kernel tiny\n\texit\n", "block_x": 4294967296, "block_y": 4294967296}`,
+							"block_x 4294967296 x block_y 4294967296 exceeds the limit of 1024 threads"},
+						{`{"source": ".kernel tiny\n\texit\n", "block_x": 64, "block_y": 32}`,
+							"block_x 64 x block_y 32 exceeds the limit of 1024 threads"},
+						{`{"source": ".kernel tiny\n\texit\n", "shared_bytes": 65537}`,
+							"shared_bytes 65537 exceeds the limit of 65536"},
+					} {
+						code, _, out := call(t, http.MethodPost, "/v1/jobs", tc.spec)
+						if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+							t.Errorf("%s = %d %q, want 400 naming %q", tc.spec, code, msg, tc.want)
+						}
+					}
+				}},
 				{"resubmit after done is cached", func(t *testing.T) {
 					once.Do(func() { close(release) })
 					waitFor(t, id, "done")
@@ -246,6 +260,16 @@ func TestContractWorkerAndCoordinator(t *testing.T) {
 					waitFor(t, badID, "failed")
 					if got := counter("jobs_executed_total"); got != executed+1 {
 						t.Errorf("jobs_executed_total = %d after resubmitting a failed job, want %d", got, executed+1)
+					}
+				}},
+				{"failed job reads as on a worker", func(t *testing.T) {
+					_, _, out := call(t, http.MethodPost, "/v1/jobs", bad)
+					badID, _ := out["id"].(string)
+					waitFor(t, badID, "failed")
+					_, _, st := call(t, http.MethodGet, "/v1/jobs/"+badID, "")
+					want := "job:" + badID + `: line 2: unknown mnemonic "bogus"`
+					if msg, _ := st["error"].(string); msg != want || strings.Contains(msg, "client: daemon answered") {
+						t.Errorf("failed job error = %q, want the worker's own %q", msg, want)
 					}
 				}},
 				{"kernel racing at its launch geometry fails", func(t *testing.T) {

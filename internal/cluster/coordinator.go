@@ -316,6 +316,8 @@ func (re *ringExecutor) attempt(ctx context.Context, worker string, spec *servic
 //   - no HTTP answer at all: retriable, and the worker is ejected;
 //   - anything else the worker said (spec rejection, job failure):
 //     deterministic — every replica would answer the same, fail fast.
+//     A job that failed settles on the worker's own error, so the
+//     coordinator's status reads as the worker's does.
 func classify(worker string, err error) attemptOutcome {
 	out := attemptOutcome{worker: worker, err: err}
 	if errors.Is(err, client.ErrDraining) {
@@ -324,8 +326,10 @@ func classify(worker string, err error) attemptOutcome {
 	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		switch ae.StatusCode {
-		case http.StatusTooManyRequests, http.StatusNotFound:
+		switch {
+		case ae.JobError != "":
+			out.err = errors.New(ae.JobError)
+		case ae.StatusCode == http.StatusTooManyRequests, ae.StatusCode == http.StatusNotFound:
 			out.retriable = true
 		}
 		return out

@@ -118,30 +118,38 @@ func TestClusterStatsMatchDirectRun(t *testing.T) {
 }
 
 // TestClusterLongPollExchanges: a fresh job through a coordinator takes
-// one status exchange on each hop, client to coordinator and
-// coordinator to worker, because each is a long-poll that answers when
-// the job finishes.
+// two exchanges on each hop, client to coordinator and coordinator to
+// worker: the submission and one status request, a long-poll that
+// answers when the job finishes and carries its result.
 func TestClusterLongPollExchanges(t *testing.T) {
-	countStatus := func(n *atomic.Int32) func(http.Handler) http.Handler {
+	type hop struct{ submit, status, result, other atomic.Int32 }
+	count := func(n *hop) func(http.Handler) http.Handler {
 		return func(h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") &&
-					!strings.HasSuffix(r.URL.Path, "/result") {
-					n.Add(1)
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+					n.submit.Add(1)
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") &&
+					strings.HasSuffix(r.URL.Path, "/result"):
+					n.result.Add(1)
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+					n.status.Add(1)
+				default:
+					n.other.Add(1)
 				}
 				h.ServeHTTP(w, r)
 			})
 		}
 	}
-	var workerStatus, clientStatus atomic.Int32
-	w, _ := newWrappedWorker(t, service.Options{Workers: 1, QueueDepth: 4}, countStatus(&workerStatus))
+	var worker, coord hop
+	w, _ := newWrappedWorker(t, service.Options{Workers: 1, QueueDepth: 4}, count(&worker))
 	_, c := newWrappedCoordinator(t, cluster.Options{
 		Workers: []string{w.URL},
 		// A worker long-poll waits half of this: 30 s outlasts the job
 		// even on a loaded machine under the race detector.
 		RequestTimeout: time.Minute,
 		ProbeInterval:  time.Hour,
-	}, countStatus(&clientStatus))
+	}, count(&coord))
 	ctx := context.Background()
 	resp, err := c.Submit(ctx, &client.JobSpec{Benchmark: "SHA"})
 	if err != nil {
@@ -150,14 +158,21 @@ func TestClusterLongPollExchanges(t *testing.T) {
 	if resp.Cached {
 		t.Fatalf("Submit = %+v, want a fresh job", resp)
 	}
-	if _, err := c.Wait(ctx, resp.ID); err != nil {
+	res, err := c.Wait(ctx, resp.ID)
+	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if got := workerStatus.Load(); got != 1 {
-		t.Errorf("coordinator sent its worker %d status requests, want 1", got)
+	if res.Stats == nil || res.Stats.WarpInstrs == 0 {
+		t.Errorf("Wait = %+v, want the job's stats", res)
 	}
-	if got := clientStatus.Load(); got != 1 {
-		t.Errorf("client sent the coordinator %d status requests, want 1", got)
+	for _, h := range []struct {
+		name string
+		n    *hop
+	}{{"coordinator to worker", &worker}, {"client to coordinator", &coord}} {
+		if s, st, r, o := h.n.submit.Load(), h.n.status.Load(), h.n.result.Load(), h.n.other.Load(); s != 1 || st != 1 || r != 0 || o != 0 {
+			t.Errorf("%s: %d submit, %d status, %d result and %d other exchanges; want 1 submit and 1 status",
+				h.name, s, st, r, o)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"warped/internal/mem"
 	"warped/internal/sim"
@@ -132,14 +133,20 @@ var bfsBench = &Benchmark{
 	kernels:  []*Source{bfsKernel},
 }
 
+// bfsInput is BFS's seeded graph and its host reference levels, built
+// once per process. Runs share them read-only: WriteWords copies them
+// into device memory.
+var bfsInput = sync.OnceValues(func() (*bfsGraph, []uint32) {
+	graph := buildBFSGraph(bfsNodes, rand.New(rand.NewSource(3)))
+	return graph, hostBFS(graph, bfsSource)
+})
+
 func buildBFS(g *sim.GPU) (*Run, error) {
 	prog, err := bfsKernel.Program()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(3))
-	graph := buildBFSGraph(bfsNodes, rng)
-	want := hostBFS(graph, bfsSource)
+	graph, want := bfsInput()
 	levels := int(0)
 	for _, l := range want {
 		if l != bfsUnseen && int(l) > levels {

@@ -345,13 +345,25 @@ func TestE2EErrors(t *testing.T) {
 		t.Errorf("unknown Result = %v, want 404", err)
 	}
 
+	// A block wider than the SM is refused at submit, whatever the retry
+	// budget, naming the field, the value and the limit.
+	for _, retry := range []int{0, 3} {
+		_, err := c.Submit(ctx, &client.JobSpec{Source: tinySrc, BlockX: 4096, Retry: retry})
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+			!contains(apiErr.Message, "block_x 4096 x block_y 1 exceeds the limit of 1024 threads") {
+			t.Errorf("oversized block at retry %d: Submit = %v, want 400 naming block_x 4096 and the limit", retry, err)
+		}
+	}
+
 	// A failing inline job reports failed status citing the job and its
 	// cause, whatever the retry budget: the kernel is assembled,
 	// verified and checked against the machine once, before any attempt,
 	// so a retry never turns the diagnostic into a permanent-fault
 	// answer. A kernel whose shared-memory accesses race only across
 	// warps is verified at the job's launch geometry: at 64 threads it
-	// fails the verifier rule.
+	// fails the verifier rule. Shared memory its .shared directive asks
+	// for is known only once it is assembled, so that launch check fails
+	// the job rather than its submission.
 	for _, tc := range []struct {
 		name  string
 		spec  *client.JobSpec
@@ -361,8 +373,8 @@ func TestE2EErrors(t *testing.T) {
 		{"bad assembly/retry 3", &client.JobSpec{Source: badSrc, Retry: 3}, `line 2: unknown mnemonic "bogus"`},
 		{"racy", &client.JobSpec{Source: racySrc, BlockX: 64}, "shared-race"},
 		{"racy/retry 3", &client.JobSpec{Source: racySrc, BlockX: 64, Retry: 3}, "shared-race"},
-		{"oversized block", &client.JobSpec{Source: tinySrc, BlockX: 4096}, "launch 0: sim: block of 4096 threads exceeds SM capacity 1024"},
-		{"oversized block/retry 3", &client.JobSpec{Source: tinySrc, BlockX: 4096, Retry: 3}, "launch 0: sim: block of 4096 threads exceeds SM capacity 1024"},
+		{"oversized .shared", &client.JobSpec{Source: bigSharedSrc}, "launch 0: sim: block shared memory 131072 exceeds SM capacity 65536"},
+		{"oversized .shared/retry 3", &client.JobSpec{Source: bigSharedSrc, Retry: 3}, "launch 0: sim: block shared memory 131072 exceeds SM capacity 65536"},
 	} {
 		resp, err := c.Submit(ctx, tc.spec)
 		if err != nil {
@@ -414,6 +426,9 @@ func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
 // badSrc fails to assemble on its second line.
 const badSrc = ".kernel bad\n\tbogus r0\n"
+
+// bigSharedSrc asks for twice the SM's 64 KiB of shared memory.
+const bigSharedSrc = ".kernel big\n.shared 131072\n\texit\n"
 
 // wildSrc loads from the address in its first parameter, so a large
 // one runs off the end of device memory.

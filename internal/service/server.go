@@ -249,6 +249,10 @@ type StatusResponse struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"` // failed jobs only
+
+	// Result is a done job's result, the one GET /v1/jobs/{id}/result
+	// answers, so a long-poll that sees the job finish carries it.
+	Result *JobResult `json:"result,omitempty"`
 }
 
 // ResultResponse answers GET /v1/jobs/{id}/result for a done job.
@@ -352,8 +356,10 @@ func (s *Server) Status(id string) (*StatusResponse, bool) {
 
 // Wait reports a job's lifecycle state once the job finishes, d passes
 // or ctx ends, whichever comes first; a finished job, or d <= 0,
-// answers at once. It reads the entry it found even if the LRU evicts
-// it meanwhile. False when Status would be.
+// answers at once. A done job's answer carries its result and, as a
+// result read, moves the job to the front of the LRU. It reads the
+// entry it found even if the LRU evicts it meanwhile. False when Status
+// would be.
 func (s *Server) Wait(ctx context.Context, id string, d time.Duration) (*StatusResponse, bool) {
 	j := s.entry(id)
 	if j == nil {
@@ -374,26 +380,14 @@ func (s *Server) Wait(ctx context.Context, id string, d time.Duration) (*StatusR
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &StatusResponse{ID: j.id, Status: j.state.String(), Error: j.errMsg}, true
-}
-
-// Result returns a done job's result. The boolean reports existence, as
-// Status does; a nil response with existence means the job is not done
-// yet (still queued/running, or failed — check Status).
-func (s *Server) Result(id string) (*ResultResponse, bool) {
-	j := s.entry(id)
-	if j == nil {
-		return nil, false
+	st := &StatusResponse{ID: j.id, Status: j.state.String(), Error: j.errMsg}
+	if j.state == stateDone {
+		st.Result = j.result
+		if j.elem != nil {
+			s.lru.MoveToFront(j.elem)
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != stateDone {
-		return nil, true
-	}
-	if j.elem != nil {
-		s.lru.MoveToFront(j.elem)
-	}
-	return &ResultResponse{ID: j.id, JobResult: *j.result}, true
+	return st, true
 }
 
 // entry finds a job: in flight or retained in the table, or else a
@@ -605,23 +599,19 @@ func parseWait(v string) (time.Duration, error) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	resp, ok := s.Result(id)
-	if !ok {
+	st, ok := s.Status(id)
+	switch {
+	case !ok:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("service: unknown job %q", id))
-		return
-	}
-	if resp == nil {
-		st, _ := s.Status(id)
-		if st != nil && st.Status == stateFailed.String() {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Sprintf("service: job %s failed: %s", id, st.Error))
-			return
-		}
+	case st.Result != nil:
+		WriteJSON(w, http.StatusOK, &ResultResponse{ID: st.ID, JobResult: *st.Result})
+	case st.Status == stateFailed.String():
+		writeError(w, http.StatusInternalServerError,
+			fmt.Sprintf("service: job %s failed: %s", id, st.Error))
+	default:
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusConflict, fmt.Sprintf("service: job %s is not finished", id))
-		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 func handleBenchmarks(w http.ResponseWriter, _ *http.Request) {

@@ -254,6 +254,17 @@ func (s *JobSpec) Canonicalize() (*canonicalJob, error) {
 		return nil, fmt.Errorf("service: config: %w", err)
 	}
 	c.Config = cfg
+	// An inline launch must fit one SM of the machine it runs on. Each
+	// dimension is compared before their product, which can overflow.
+	// The kernel's .shared directive is known only after assembly, so
+	// the worker checks the launch again then.
+	if m := cfg.MaxThreadsPerSM; c.BlockX > m || c.BlockY > m || c.BlockX*c.BlockY > m {
+		return nil, fmt.Errorf("service: block_x %d x block_y %d exceeds the limit of %d threads",
+			c.BlockX, c.BlockY, m)
+	}
+	if c.SharedBytes > cfg.SharedMemBytes {
+		return nil, fmt.Errorf("service: shared_bytes %d exceeds the limit of %d", c.SharedBytes, cfg.SharedMemBytes)
+	}
 
 	faults, err := s.Faults.resolve(s.Seed, cfg.NumSMs)
 	if err != nil {

@@ -177,6 +177,14 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"grid_y 1025":       {Source: "exit\n", GridY: maxGridBlocks + 1},
 		"grid 64x32":        {Source: "exit\n", GridX: 64, GridY: 32},
 		"retry 17":          {Benchmark: "MatrixMul", Retry: maxRetry + 1},
+		// An inline block of more threads than the SM's 1024, also where
+		// block_x * block_y overflows int, or more shared memory than
+		// its 64 KiB.
+		"block_x 1025":                {Source: "exit\n", BlockX: 1025},
+		"block_y 1025":                {Source: "exit\n", BlockX: 1, BlockY: 1025},
+		"block 64x32":                 {Source: "exit\n", BlockX: 64, BlockY: 32},
+		"block 4294967296x4294967296": {Source: "exit\n", BlockX: 1 << 32, BlockY: 1 << 32},
+		"shared_bytes 65537":          {Source: "exit\n", SharedBytes: 64<<10 + 1},
 	}
 	for name, spec := range bad {
 		if _, err := spec.Canonicalize(); err == nil {
@@ -194,12 +202,16 @@ func TestCanonicalizeRejects(t *testing.T) {
 	}
 	// At each admission limit a job is admitted.
 	for name, spec := range map[string]*JobSpec{
-		"sms 256":     {Benchmark: "SHA", Config: &ConfigSpec{SMs: n(maxSMs)}},
-		"replayq 128": {Benchmark: "SHA", Config: &ConfigSpec{ReplayQ: n(maxReplayQ)}},
-		"grid 1024x1": {Source: "exit\n", GridX: maxGridBlocks},
-		"grid 1x1024": {Source: "exit\n", GridY: maxGridBlocks},
-		"grid 32x32":  {Source: "exit\n", GridX: 32, GridY: 32},
-		"retry 16":    {Benchmark: "MatrixMul", Retry: maxRetry},
+		"sms 256":            {Benchmark: "SHA", Config: &ConfigSpec{SMs: n(maxSMs)}},
+		"replayq 128":        {Benchmark: "SHA", Config: &ConfigSpec{ReplayQ: n(maxReplayQ)}},
+		"grid 1024x1":        {Source: "exit\n", GridX: maxGridBlocks},
+		"grid 1x1024":        {Source: "exit\n", GridY: maxGridBlocks},
+		"grid 32x32":         {Source: "exit\n", GridX: 32, GridY: 32},
+		"retry 16":           {Benchmark: "MatrixMul", Retry: maxRetry},
+		"block 1024x1":       {Source: "exit\n", BlockX: 1024},
+		"block 1x1024":       {Source: "exit\n", BlockX: 1, BlockY: 1024},
+		"block 32x32":        {Source: "exit\n", BlockX: 32, BlockY: 32},
+		"shared_bytes 65536": {Source: "exit\n", SharedBytes: 64 << 10},
 	} {
 		if _, err := spec.Canonicalize(); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -27,6 +27,28 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// get answers a GET of url with its status code and body.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// doneStatus is the status body of the done job id whose result body
+// is result: the status carries the result without its id.
+func doneStatus(id, result string) string {
+	fields := strings.TrimPrefix(strings.TrimSpace(result), `{"id":"`+id+`",`)
+	return `{"id":"` + id + `","status":"done","result":{` + fields + `}`
+}
+
 // TestStoreColdStart: a fresh daemon over an existing store directory
 // answers a previously-computed job from disk — no simulation, same
 // stats. This is the durable half of the content-addressed cache.
@@ -168,25 +190,12 @@ func TestEvictedJobAnswersFromStore(t *testing.T) {
 				opt.Store = openStore(t, t.TempDir())
 			}
 			_, c, ts := newTestDaemon(t, opt)
-			get := func(path string) (int, string) {
-				t.Helper()
-				resp, err := http.Get(ts.URL + path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resp.StatusCode, string(body)
-			}
 			a, err := c.Submit(ctx, tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, _ = c.Wait(ctx, a.ID)
-			_, first := get("/v1/jobs/" + a.ID + "/result")
+			_, first := get(t, ts.URL+"/v1/jobs/"+a.ID+"/result")
 			// A second job evicts the first from the one-entry LRU.
 			b, err := c.Submit(ctx, &client.JobSpec{Source: tinySrc, Params: []uint32{1}})
 			if err != nil {
@@ -197,17 +206,17 @@ func TestEvictedJobAnswersFromStore(t *testing.T) {
 			}
 
 			before := opt.Metrics.Snapshot().Counters
-			code, status := get("/v1/jobs/" + a.ID)
+			code, status := get(t, ts.URL+"/v1/jobs/"+a.ID)
 			if code != tc.wantCode {
 				t.Fatalf("status of the evicted job = %d %s, want %d", code, status, tc.wantCode)
 			}
 			if code != http.StatusOK {
 				return
 			}
-			if want := `{"id":"` + a.ID + `","status":"done"}`; strings.TrimSpace(status) != want {
+			if want := doneStatus(a.ID, first); strings.TrimSpace(status) != want {
 				t.Errorf("status = %s, want %s", status, want)
 			}
-			if code, again := get("/v1/jobs/" + a.ID + "/result"); code != http.StatusOK || again != first {
+			if code, again := get(t, ts.URL+"/v1/jobs/"+a.ID+"/result"); code != http.StatusOK || again != first {
 				t.Errorf("result from the store = %d %s\nwant 200 %s", code, again, first)
 			}
 			after := opt.Metrics.Snapshot().Counters
@@ -219,6 +228,40 @@ func TestEvictedJobAnswersFromStore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDoneStatusCarriesResult: a done job's status carries the result
+// its /result answers, without the id, byte for byte: from memory, and
+// from the durable store once the LRU has evicted the job.
+func TestDoneStatusCarriesResult(t *testing.T) {
+	ctx := context.Background()
+	_, c, ts := newTestDaemon(t, service.Options{Workers: 1, QueueDepth: 4, CacheEntries: 1,
+		Store: openStore(t, t.TempDir())})
+	run := func(spec *client.JobSpec) string {
+		t.Helper()
+		resp, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, resp.ID); err != nil {
+			t.Fatal(err)
+		}
+		return resp.ID
+	}
+	check := func(where, id string) {
+		t.Helper()
+		// Status first: after an eviction it is the read that reloads
+		// the job from the store.
+		_, status := get(t, ts.URL+"/v1/jobs/"+id)
+		code, result := get(t, ts.URL+"/v1/jobs/"+id+"/result")
+		if want := doneStatus(id, result); code != http.StatusOK || strings.TrimSpace(status) != want {
+			t.Errorf("%s: status = %s\nwant %s (result %d)", where, status, want, code)
+		}
+	}
+	a := run(&client.JobSpec{Source: tinySrc})
+	check("from memory", a)
+	run(&client.JobSpec{Source: tinySrc, Params: []uint32{1}}) // evicts a from the one-entry LRU
+	check("from the store", a)
 }
 
 // TestSpecKeyMatchesSubmitID: the exported identity computation agrees

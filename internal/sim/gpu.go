@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 
 	"warped/internal/arch"
 	"warped/internal/cache"
@@ -53,9 +54,11 @@ func (k *Kernel) Validate(cfg arch.Config) error {
 		return fmt.Errorf("sim: bad grid %dx%d", k.GridX, k.GridY)
 	case k.BlockX <= 0 || k.BlockY <= 0:
 		return fmt.Errorf("sim: bad block %dx%d", k.BlockX, k.BlockY)
-	case k.ThreadsPerBlock() > cfg.MaxThreadsPerSM:
-		return fmt.Errorf("sim: block of %d threads exceeds SM capacity %d",
-			k.ThreadsPerBlock(), cfg.MaxThreadsPerSM)
+	case k.BlockX > cfg.MaxThreadsPerSM || k.BlockY > cfg.MaxThreadsPerSM || k.ThreadsPerBlock() > cfg.MaxThreadsPerSM:
+		// Each dimension is compared before their product, which can
+		// overflow; the message spells the product exactly.
+		threads := new(big.Int).Mul(big.NewInt(int64(k.BlockX)), big.NewInt(int64(k.BlockY)))
+		return fmt.Errorf("sim: block of %d threads exceeds SM capacity %d", threads, cfg.MaxThreadsPerSM)
 	case k.Prog.BlockDimX > 0 && (k.BlockX > k.Prog.BlockDimX || k.BlockY > k.Prog.BlockDimY):
 		// .block declares the worst-case geometry the kernel was
 		// verified against; launching wider would outrun the static

@@ -532,6 +532,32 @@ func TestValidateDeclaredBlock(t *testing.T) {
 	}
 }
 
+// TestValidateBlockCapacity: a block with more threads than the SM
+// holds is rejected with its exact thread count, also when BlockX *
+// BlockY overflows int.
+func TestValidateBlockCapacity(t *testing.T) {
+	prog := asm.MustAssemble(".kernel k\n\texit\n")
+	cfg := arch.PaperConfig()
+	for _, tc := range []struct {
+		bx, by int
+		want   string // "" when the block fits
+	}{
+		{1024, 1, ""},
+		{1, 1024, ""},
+		{32, 32, ""},
+		{4096, 1, "sim: block of 4096 threads exceeds SM capacity 1024"},
+		{64, 32, "sim: block of 2048 threads exceeds SM capacity 1024"},
+		{1 << 32, 1 << 32, "sim: block of 18446744073709551616 threads exceeds SM capacity 1024"},
+		{1 << 62, 4, "sim: block of 18446744073709551616 threads exceeds SM capacity 1024"},
+	} {
+		k := &Kernel{Prog: prog, GridX: 1, GridY: 1, BlockX: tc.bx, BlockY: tc.by}
+		err := k.Validate(cfg)
+		if (err == nil) != (tc.want == "") || (err != nil && err.Error() != tc.want) {
+			t.Errorf("block %dx%d: Validate = %v, want %q", tc.bx, tc.by, err, tc.want)
+		}
+	}
+}
+
 // TestStopOnError: with StopOnError set, the first comparator mismatch
 // aborts the launch with ErrErrorDetected (the paper's raise-an-
 // exception handling for permanent faults).
