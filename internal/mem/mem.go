@@ -47,6 +47,10 @@ func NewGlobal(size int) *Global {
 // Size returns the total size in bytes.
 func (g *Global) Size() int { return g.size }
 
+// Allocated returns the end of the allocated extent, the allocator's
+// break: every address Alloc has handed out lies below it.
+func (g *Global) Allocated() uint32 { return g.brk }
+
 // Alloc reserves n bytes and returns the device address. Allocations
 // are 256-byte aligned, like cudaMalloc, so unit-stride warp accesses
 // from element 0 coalesce into whole segments.

@@ -19,6 +19,9 @@ func TestAllocAlignment(t *testing.T) {
 	if a == 0 {
 		t.Error("address 0 must stay unallocated (null)")
 	}
+	if got, want := g.Allocated(), b+256; got != want {
+		t.Errorf("Allocated = %d after allocating %d and %d bytes, want %d", got, 3, 17, want)
+	}
 }
 
 func TestAllocExhaustion(t *testing.T) {

@@ -371,19 +371,36 @@ func (c *checker) guardHolds(pc int, t int64) (val, ok bool) {
 	return v, true
 }
 
-// absState is the per-PC abstract store.
+// absState is the per-PC abstract store. regs holds the registers the
+// program names (valueRegs); a register past them is never read or
+// written and stays ⊤.
 type absState struct {
 	regs    []aval
 	preds   [isa.NumPreds]*predFact
 	reached bool
 }
 
-func newAbsState() absState {
-	regs := make([]aval, isa.MaxGPR)
-	for i := range regs {
-		regs[i] = topAval()
+// valueRegs is the number of GPRs the value analysis tracks: one past
+// the highest GPR any instruction names in its destination or any
+// source slot. It is taken from the instructions, not from .reg, which
+// a malformed program can write past.
+func valueRegs(p *isa.Program) int {
+	n := 0
+	note := func(r isa.Reg) {
+		if !r.IsSpecial() && int(r) < isa.MaxGPR && int(r) >= n {
+			n = int(r) + 1
+		}
 	}
-	return absState{regs: regs}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		note(in.Dst)
+		for _, o := range in.Src {
+			if !o.IsImm {
+				note(o.Reg)
+			}
+		}
+	}
+	return n
 }
 
 // operandAval evaluates a source operand under a state. %tid, %laneid
@@ -422,68 +439,71 @@ func (c *checker) operandAval(st *absState, o isa.Operand) aval {
 		}
 		return topAval()
 	}
-	if int(r) >= isa.MaxGPR {
+	if int(r) >= len(st.regs) {
 		return topAval()
 	}
 	return st.regs[r]
 }
 
-// valueTransfer applies one instruction to a copy of the state.
-func (c *checker) valueTransfer(in *isa.Instr, st absState) absState {
+// valueTransfer applies one instruction to the in-state st and writes
+// the out-state into out, whose regs buffer has st's length.
+func (c *checker) valueTransfer(in *isa.Instr, st, out *absState) {
 	g := &c.geo
-	out := absState{regs: append([]aval(nil), st.regs...), preds: st.preds, reached: true}
+	copy(out.regs, st.regs)
+	out.preds = st.preds
+	out.reached = true
 
 	// Predicate writers first: they have no GPR destination.
 	//simlint:ignore exhaustive-switch — only SETP/PAND/PNOT define predicates; every other opcode leaves the facts untouched, which the fall-through below handles
 	switch in.Op {
 	case isa.OpSETP:
 		if !validPred(in.PDst) {
-			return out
+			return
 		}
-		f := &predFact{}
-		a := c.operandAval(&st, in.Src[0]).norm(g)
-		b := c.operandAval(&st, in.Src[1]).norm(g)
+		var f predFact
+		a := c.operandAval(st, in.Src[0]).norm(g)
+		b := c.operandAval(st, in.Src[1]).norm(g)
 		// A guarded setp merges with the old value per lane, and f32
 		// compares are outside the integer domain: both stay unknown.
 		if in.Pred.None && in.CmpTy != isa.CmpF32 && a.exact() && b.exact() {
-			f = &predFact{known: true, op: in.Cmp, signed: in.CmpTy == isa.CmpS32, a: a, b: b}
+			f = predFact{known: true, op: in.Cmp, signed: in.CmpTy == isa.CmpS32, a: a, b: b}
 		}
-		out.preds[in.PDst] = f
-		return out
+		out.preds[in.PDst] = &f
+		return
 	case isa.OpPAND:
 		if !validPred(in.PDst) {
-			return out
+			return
 		}
-		f := &predFact{}
+		var f predFact
 		if in.Pred.None && validPred(in.PSrcA) && validPred(in.PSrcB) {
 			l, r := st.preds[in.PSrcA], st.preds[in.PSrcB]
 			if l != nil && l.known && r != nil && r.known {
-				f = &predFact{known: true, and: true, l: l, r: r}
+				f = predFact{known: true, and: true, l: l, r: r}
 			}
 		}
-		out.preds[in.PDst] = f
-		return out
+		out.preds[in.PDst] = &f
+		return
 	case isa.OpPNOT:
 		if !validPred(in.PDst) {
-			return out
+			return
 		}
-		f := &predFact{}
+		var f predFact
 		if in.Pred.None && validPred(in.PSrcA) {
 			if l := st.preds[in.PSrcA]; l != nil && l.known {
-				f = &predFact{known: true, neg: true, l: l}
+				f = predFact{known: true, neg: true, l: l}
 			}
 		}
-		out.preds[in.PDst] = f
-		return out
+		out.preds[in.PDst] = &f
+		return
 	}
 
 	dst, ok := in.Writes()
-	if !ok || dst.IsSpecial() || int(dst) >= isa.MaxGPR {
-		return out
+	if !ok || dst.IsSpecial() || int(dst) >= len(out.regs) {
+		return
 	}
-	a := c.operandAval(&st, in.Src[0])
-	b := c.operandAval(&st, in.Src[1])
-	cc := c.operandAval(&st, in.Src[2])
+	a := c.operandAval(st, in.Src[0])
+	b := c.operandAval(st, in.Src[1])
+	cc := c.operandAval(st, in.Src[2])
 
 	var v aval
 	//simlint:ignore exhaustive-switch — abstract interpretation: the integer ALU ops listed have precise transfer functions, and the default maps every other op to ⊤, which is sound for any opcode ever added
@@ -536,7 +556,6 @@ func (c *checker) valueTransfer(in *isa.Instr, st absState) absState {
 		v = hullAval(v, st.regs[dst], g).norm(g)
 	}
 	out.regs[dst] = v
-	return out
 }
 
 func minMaxAval(isMin bool, a, b aval, g *geom) aval {
@@ -595,61 +614,89 @@ const valueWidenVisits = 24
 // runValueAnalysis computes the affine fixpoint for every reachable PC
 // into c.vals. It powers checkAlignment, checkSharedBounds and
 // checkSharedRace; the transfer is monotone modulo widening, so the
-// worklist terminates.
+// worklist terminates. Each PC owns its register slice: the transfer
+// writes into one reused buffer, and a join updates the successor's
+// state in place.
 func (c *checker) runValueAnalysis() {
 	c.geo = c.resolveGeom()
 	n := len(c.p.Instrs)
+	nregs := valueRegs(c.p)
+	regs := make([]aval, (n+1)*nregs) // n in-states, then the transfer buffer
 	c.vals = make([]absState, n)
-	visits := make([]int, n)
-	c.vals[0] = newAbsState()
+	for pc := range c.vals {
+		c.vals[pc].regs = regs[pc*nregs : (pc+1)*nregs : (pc+1)*nregs]
+	}
+	out := absState{regs: regs[n*nregs:]}
+	for i := range c.vals[0].regs {
+		c.vals[0].regs[i] = topAval()
+	}
 	c.vals[0].reached = true
+	visits := make([]int, n)
 
-	work := []int{0}
+	// A FIFO ring: a PC is queued at most once, so n slots suffice.
+	work := make([]int, n)
+	head, queued := 0, 1
 	inWork := make([]bool, n)
 	inWork[0] = true
-	for len(work) > 0 {
-		pc := work[0]
-		work = work[1:]
+	for queued > 0 {
+		pc := work[head]
+		head = (head + 1) % n
+		queued--
 		inWork[pc] = false
 
-		out := c.valueTransfer(&c.p.Instrs[pc], c.vals[pc])
+		c.valueTransfer(&c.p.Instrs[pc], &c.vals[pc], &out)
 		for _, nx := range c.succ[pc] {
-			merged := out
-			if c.vals[nx].reached {
-				merged = absState{regs: make([]aval, isa.MaxGPR), reached: true}
-				changed := false
-				for i := range merged.regs {
-					merged.regs[i] = hullAval(c.vals[nx].regs[i], out.regs[i], &c.geo).norm(&c.geo)
-					if merged.regs[i] != c.vals[nx].regs[i] {
-						changed = true
-						if visits[nx] >= valueWidenVisits {
-							merged.regs[i] = topAval()
-						}
-					}
-				}
-				for i := range merged.preds {
-					merged.preds[i] = c.vals[nx].preds[i]
-					if !factsEqual(merged.preds[i], out.preds[i]) {
-						changed = true
-						merged.preds[i] = &predFact{}
-						if visits[nx] < valueWidenVisits && out.preds[i] != nil && c.vals[nx].preds[i] == nil {
-							// First definition along a join: adopt it.
-							merged.preds[i] = out.preds[i]
-						}
-					}
-				}
-				if !changed {
-					continue
-				}
+			st := &c.vals[nx]
+			if !st.reached {
+				copy(st.regs, out.regs)
+				st.preds = out.preds
+				st.reached = true
+			} else if !c.joinInto(st, &out, visits[nx] >= valueWidenVisits) {
+				continue
 			}
-			c.vals[nx] = merged
 			visits[nx]++
 			if !inWork[nx] {
 				inWork[nx] = true
-				work = append(work, nx)
+				work[(head+queued)%n] = nx
+				queued++
 			}
 		}
 	}
+}
+
+// joinInto hulls the out-state into the reached in-state st, in place,
+// and reports whether st changed. Under widen, a register that changes
+// goes straight to ⊤, and a predicate fact that differs becomes unknown
+// rather than adopting a first definition.
+func (c *checker) joinInto(st, out *absState, widen bool) bool {
+	changed := false
+	for i, old := range st.regs {
+		if old == out.regs[i] {
+			continue // the hull of two equal normalized values is that value
+		}
+		v := hullAval(old, out.regs[i], &c.geo).norm(&c.geo)
+		if v == old {
+			continue
+		}
+		changed = true
+		if widen {
+			v = topAval()
+		}
+		st.regs[i] = v
+	}
+	for i, old := range st.preds {
+		if factsEqual(old, out.preds[i]) {
+			continue
+		}
+		changed = true
+		switch {
+		case !widen && out.preds[i] != nil && old == nil:
+			st.preds[i] = out.preds[i] // first definition along a join: adopt it
+		case old == nil || old.known:
+			st.preds[i] = &predFact{} // an unknown fact stays as it is
+		}
+	}
+	return changed
 }
 
 // accessAval returns the abstract byte address of the memory access at

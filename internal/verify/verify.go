@@ -218,10 +218,16 @@ func Check(p *isa.Program) Findings { return CheckWith(p, Options{}) }
 // CheckWith verifies a program and returns all findings, ordered by
 // source line then instruction index.
 func CheckWith(p *isa.Program, opt Options) Findings {
-	opt = opt.withDefaults()
 	if p == nil || len(p.Instrs) == 0 {
 		return Findings{{Sev: SevError, Rule: RuleStructure, Msg: "empty program"}}
 	}
+	return check(p, opt.withDefaults()).findings
+}
+
+// check runs every rule over a non-empty program and returns the
+// checker, whose CFG, reachability and value states AnalyzeVulnWith
+// goes on to use.
+func check(p *isa.Program, opt Options) *checker {
 	c := &checker{p: p, opt: opt}
 	c.checkBounds()
 	c.buildCFG()
@@ -241,7 +247,7 @@ func CheckWith(p *isa.Program, opt Options) Findings {
 		}
 		return c.findings[i].PC < c.findings[j].PC
 	})
-	return c.findings
+	return c
 }
 
 // checker carries the per-program analysis state.

@@ -131,13 +131,12 @@ func AnalyzeVulnWith(p *isa.Program, opt Options) (*VulnReport, error) {
 	if p == nil || len(p.Instrs) == 0 {
 		return nil, fmt.Errorf("verify: vuln: empty program")
 	}
-	if err := CheckWith(p, opt).Err(); err != nil {
+	// The verifier's CFG, reachability and affine facts (for the
+	// uniform-guard kill refinement) serve the liveness analysis too.
+	c := check(p, opt)
+	if err := c.findings.Err(); err != nil {
 		return nil, fmt.Errorf("verify: vuln: program does not verify: %w", err)
 	}
-	c := &checker{p: p, opt: opt}
-	c.buildCFG()
-	c.checkReachability()
-	c.runValueAnalysis() // affine facts for the uniform-guard kill refinement
 	v := &vulnAnalysis{c: c}
 	v.run()
 	return v.report(), nil
