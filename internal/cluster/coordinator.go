@@ -20,10 +20,6 @@ import (
 // configured worker is off the ring.
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
 
-// retainedJobs bounds the coordinator's in-memory table of finished
-// jobs. Evicted successes remain answerable through the Store.
-const retainedJobs = 4096
-
 // Options configures a Coordinator.
 type Options struct {
 	// Workers are the base URLs of the warpd workers to shard across
@@ -163,7 +159,7 @@ func New(opts Options) *Coordinator {
 	re.probeCancel = probeCancel
 	go re.probeLoop(probeCtx)
 	return &Coordinator{
-		Server: service.NewServer("cluster", re, retainedJobs, opts.Metrics, opts.Store),
+		Server: service.NewServer("cluster", re, 0, opts.Metrics, opts.Store),
 		exec:   re,
 		store:  opts.Store,
 	}

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -564,6 +565,59 @@ func TestClusterColdStartServesFromStore(t *testing.T) {
 	}
 	if got := snap.Counters["cluster.jobs_rejected_total"]; got != 1 {
 		t.Errorf("jobs_rejected_total = %d after the refusal, want 1", got)
+	}
+}
+
+// TestClusterEvictedJobAnswersFromStore: a coordinator's table keeps
+// the 256 most recent finished jobs, as a worker's does, and a success
+// it has evicted still answers its status and result from the store.
+func TestClusterEvictedJobAnswersFromStore(t *testing.T) {
+	const jobs = 257
+	w, _ := newWorker(t, service.Options{Workers: 1, QueueDepth: 4})
+	reg := metrics.New()
+	_, c := newCoordinator(t, cluster.Options{
+		Workers:       []string{w.URL},
+		Store:         openStore(t, t.TempDir()),
+		Metrics:       reg,
+		ProbeInterval: time.Hour,
+	})
+	ctx := context.Background()
+	var firstID string
+	var first *client.ResultResponse
+	for i := 0; i < jobs; i++ {
+		src := fmt.Sprintf(".kernel tiny\n\tmov r0, %%tid.x\n\tiadd r1, r0, %d\n\texit\n", i)
+		resp, err := c.Submit(ctx, &client.JobSpec{Source: src})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		res, err := c.Wait(ctx, resp.ID)
+		if err != nil {
+			t.Fatalf("Wait %d: %v", i, err)
+		}
+		if i == 0 {
+			firstID, first = resp.ID, res
+		}
+	}
+	if got := reg.Snapshot().Gauges["cluster.cache_entries"].Value; got != 256 {
+		t.Errorf("cluster.cache_entries = %d after %d jobs, want 256", got, jobs)
+	}
+	want, _ := json.Marshal(first.Stats)
+	st, err := c.Status(ctx, firstID)
+	if err != nil {
+		t.Fatalf("Status of the evicted job: %v", err)
+	}
+	if st.Status != "done" || st.Result == nil {
+		t.Fatalf("Status of the evicted job = %+v, want done with its result", st)
+	}
+	if got, _ := json.Marshal(st.Result.Stats); string(got) != string(want) {
+		t.Errorf("evicted job's status result differs:\n got %s\nwant %s", got, want)
+	}
+	res, err := c.Result(ctx, firstID)
+	if err != nil {
+		t.Fatalf("Result of the evicted job: %v", err)
+	}
+	if got, _ := json.Marshal(res.Stats); string(got) != string(want) {
+		t.Errorf("evicted job's result differs:\n got %s\nwant %s", got, want)
 	}
 }
 
