@@ -174,23 +174,28 @@ func BenchmarkCampaignParallelism(b *testing.B) {
 
 // Per-workload simulator throughput benchmarks: how fast the simulator
 // itself runs each kernel (useful when extending the substrate), in
-// ns per issued warp-instruction and allocations per run. SHA/worker is
-// shaped like a warpd fault-campaign job: the default 64 MB device, a
-// metrics registry, no validation and one transient fault on an SM that
-// hosts a block, so one SM carries a fault hook and 29 do not.
+// ns per issued warp-instruction and allocations per run. SHA/worker and
+// SHA/campaign are shaped like a warpd fault-campaign job: the default
+// 64 MB device, a metrics registry, no validation and one transient
+// fault. SHA/worker puts the fault on SM 3, which hosts a block, so one
+// busy SM carries a fault hook. SHA/campaign puts it on SM 20, which
+// hosts none, as a fault drawn uniformly over 30 SMs does in most
+// campaign jobs (SHA's 8 blocks land on SMs 0-7), so no busy SM does.
 func BenchmarkSimulator(b *testing.B) {
 	type simCase struct {
 		name, label string
 		cfg         arch.Config
-		job         bool
+		faultSM     int // -1: a library run with no fault and validation
 	}
 	var cases []simCase
 	for _, name := range []string{"MatrixMul", "BFS", "SHA", "CUFFT", "RadixSort"} {
 		cases = append(cases,
-			simCase{name, "base", arch.PaperConfig(), false},
-			simCase{name, "warped", arch.WarpedDMRConfig(), false})
+			simCase{name, "base", arch.PaperConfig(), -1},
+			simCase{name, "warped", arch.WarpedDMRConfig(), -1})
 	}
-	cases = append(cases, simCase{"SHA", "worker", arch.WarpedDMRConfig(), true})
+	cases = append(cases,
+		simCase{"SHA", "worker", arch.WarpedDMRConfig(), 3},
+		simCase{"SHA", "campaign", arch.WarpedDMRConfig(), 20})
 	for _, c := range cases {
 		b.Run(c.name+"/"+c.label, func(b *testing.B) {
 			bench, err := kernels.ByName(c.name)
@@ -201,13 +206,14 @@ func BenchmarkSimulator(b *testing.B) {
 			var cycles, warpInstrs int64
 			for i := 0; i < b.N; i++ {
 				opts := sim.LaunchOpts{}
-				if c.job {
+				job := c.faultSM >= 0
+				if job {
 					opts.Metrics = metrics.New()
 					opts.Fault = fault.NewInjector(&fault.Fault{
-						Kind: fault.Transient, SM: 3, Lane: 5, Unit: isa.UnitSP, Bit: 9, Cycle: 4000,
+						Kind: fault.Transient, SM: c.faultSM, Lane: 5, Unit: isa.UnitSP, Bit: 9, Cycle: 4000,
 					})
 				}
-				st, _, err := kernels.Attempt(context.Background(), c.cfg, bench, opts, !c.job)
+				st, _, err := kernels.Attempt(context.Background(), c.cfg, bench, opts, !job)
 				if err != nil {
 					b.Fatal(err)
 				}
