@@ -1,14 +1,15 @@
 // Package exec implements the functional semantics of the ISA: pure
-// per-lane ALU/SFU evaluation plus the architectural Machine that
+// warp-wide ALU/SFU evaluation plus the architectural Machine that
 // applies pre-decoded instructions to a warp's register file, memory,
 // and control state.
 //
 // Programs are lowered once per launch by Compile into a flat stream of
-// Decoded instructions (per-op step/compute functions, packed operand
-// windows); the timing simulator (internal/sim) builds one Machine per
-// SM and calls Machine.Step at issue time ("execute-at-issue").
-// Warped-DMR (internal/core) reuses the pre-bound compute functions via
-// Record.Recompute to redundantly re-execute lanes and compare results.
+// Decoded instructions (per-op step and warp-wide compute functions,
+// packed operand windows); the timing simulator (internal/sim) builds
+// one Machine per SM and calls Machine.Step at issue time
+// ("execute-at-issue"). Warped-DMR (internal/core) reuses the pre-bound
+// compute functions via Record.Recompute to redundantly re-execute a
+// warp-instruction and compare its lanes' results.
 package exec
 
 import (
@@ -109,7 +110,11 @@ type Record struct {
 	Active    simt.Mask // path mask before guarding
 	Executing simt.Mask // lanes that actually executed (guard applied)
 
-	// Per-lane operand values captured at issue, for DMR re-execution.
+	// Per-lane operand values captured at issue, for DMR re-execution
+	// (Recompute). Only a Machine with a Perturb hook captures them: a
+	// fault-free Machine computes straight from the register windows,
+	// and the DMR engine of its SM, which no fault can reach, counts its
+	// replays without recomputing them.
 	SrcVals [3][32]uint32
 
 	// Result values per lane (SP/SFU data ops and SETP), or effective
@@ -120,15 +125,18 @@ type Record struct {
 	Divergent bool // a branch split the warp
 }
 
-// Recompute re-evaluates one lane of the recorded instruction from raw
-// source values through its pre-bound compute function — the DMR
-// layer's redundant execution. ok is false for opcodes that are not
-// lane-computable.
-func (r *Record) Recompute(a, b, c uint32) (uint32, bool) {
-	if r.Dec.compute == nil {
-		return 0, false
+// Recompute re-evaluates the recorded instruction from its captured
+// source values (SrcVals) into out, through the same warp-wide function
+// Step executed it with: the DMR layer's redundant execution. Every
+// Executing lane of out is computed; other lanes may be. ok is false
+// for opcodes that are not lane-computable.
+func (r *Record) Recompute(out *[32]uint32) (ok bool) {
+	d := r.Dec
+	if d.compute == nil {
+		return false
 	}
-	return r.Dec.compute(a, b, c), true
+	d.compute(d, out, &r.SrcVals[0], &r.SrcVals[1], &r.SrcVals[2], r.Executing)
+	return true
 }
 
 // SrcRegs returns the general registers the recorded instruction reads.
@@ -146,22 +154,4 @@ func guardMask(r *Regs, pred isa.PredRef, active simt.Mask) simt.Mask {
 		p = ^p
 	}
 	return active & p
-}
-
-func cmpOrd(c isa.CmpOp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
 }

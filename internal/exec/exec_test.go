@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -17,15 +18,29 @@ func instr(op isa.Opcode) *isa.Instr {
 	return &isa.Instr{Op: op, Pred: isa.AlwaysPred()}
 }
 
-// compute evaluates one lane of in the way the DMR layer replays it:
-// Compile binds its compute function, and Record.Recompute calls it.
+// compute evaluates in the way the DMR layer replays it: Compile binds
+// its warp-wide compute function, and Record.Recompute runs it over a
+// full warp whose every lane holds the sources a, b and c. Every lane
+// must agree; their value is the result.
 func compute(in *isa.Instr, a, b, c uint32) (uint32, bool) {
 	comp, err := Compile(&isa.Program{Name: "t", Instrs: []isa.Instr{*in}})
 	if err != nil {
 		panic(err)
 	}
-	rec := Record{Dec: &comp.Code()[0]}
-	return rec.Recompute(a, b, c)
+	rec := Record{Dec: &comp.Code()[0], Executing: simt.FullMask(32)}
+	for l := 0; l < 32; l++ {
+		rec.SrcVals[0][l], rec.SrcVals[1][l], rec.SrcVals[2][l] = a, b, c
+	}
+	var out [32]uint32
+	if !rec.Recompute(&out) {
+		return 0, false
+	}
+	for l, v := range out {
+		if v != out[0] {
+			panic(fmt.Sprintf("%v: lane %d computed %#x, lane 0 %#x", in.Op, l, v, out[0]))
+		}
+	}
+	return out[0], true
 }
 
 func TestComputeIntegerOps(t *testing.T) {

@@ -59,6 +59,7 @@ type Machine struct {
 	met     *metrics.Exec
 	perturb Perturb
 	rec     Record
+	sel     [32]uint32 // SELP's selector predicate, one 0 or 1 per lane
 
 	// Plain tallies of the exec.* metrics, published by FlushMetrics.
 	divergentBranches int64
@@ -103,8 +104,7 @@ func (m *Machine) Step(ws *WarpState) (*Record, error) {
 	d := &m.code[pc]
 	rec := &m.rec
 	// Reset the scalar fields only: the per-lane arrays (SrcVals, Vals)
-	// are always read under the Executing mask, so stale lanes from the
-	// previous instruction are never observed.
+	// are only meaningful under the Executing mask.
 	rec.PC = pc
 	rec.Dec = d
 	rec.Active = ws.Ctl.ActiveMask()
@@ -176,30 +176,64 @@ func stepPredLogic(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record,
 	return rec, nil
 }
 
+// fullWarp is the Executing mask of a warp whose 32 lanes all execute.
+const fullWarp = ^simt.Mask(0)
+
+// operands resolves the first n source slots of d to their 32-lane
+// values (unused slots are nil); SELP's selector predicate becomes slot
+// 2, one 0 or 1 per lane. On a Machine with a Perturb hook they are
+// captured into rec.SrcVals, which the SM's DMR engine recomputes from;
+// otherwise they are the register windows and immediate broadcasts
+// themselves.
+func (m *Machine) operands(d *Decoded, r *Regs, rec *Record, n int) (src [3]*[32]uint32) {
+	for i := 0; i < n; i++ {
+		src[i] = d.src[i].lanes(r)
+	}
+	if d.selp {
+		sel := uint32(r.Pred[d.PSrcA])
+		for l := range m.sel {
+			m.sel[l] = sel >> l & 1
+		}
+		src[2] = &m.sel
+	}
+	if m.perturb != nil {
+		for i, p := range src {
+			if p != nil {
+				rec.SrcVals[i] = *p
+				src[i] = &rec.SrcVals[i]
+			}
+		}
+	}
+	return src
+}
+
+// perturbLanes passes each executing lane's value through the fault
+// hook, in ascending lane order.
+func (m *Machine) perturbLanes(rec *Record, unit isa.UnitClass) {
+	for rem := uint32(rec.Executing); rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros32(rem)
+		rec.Vals[lane] = m.perturb(lane, unit, rec.Vals[lane])
+	}
+}
+
+// compute evaluates d on every executing lane into rec.Vals, through the
+// fault hook when the Machine has one.
+func (m *Machine) compute(d *Decoded, r *Regs, rec *Record) [3]*[32]uint32 {
+	src := m.operands(d, r, rec, int(d.NSrc))
+	d.compute(d, &rec.Vals, src[0], src[1], src[2], rec.Executing)
+	if m.perturb != nil {
+		m.perturbLanes(rec, d.Unit)
+	}
+	return src
+}
+
 func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
-	lanes0, imm0 := d.src[0].view(r)
-	lanes1, imm1 := d.src[1].view(r)
-	fn := d.compute
+	m.compute(d, r, rec)
 	var pres simt.Mask
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		a, b := imm0, imm1
-		if lanes0 != nil {
-			a = lanes0[lane]
-		}
-		if lanes1 != nil {
-			b = lanes1[lane]
-		}
-		rec.SrcVals[0][lane] = a
-		rec.SrcVals[1][lane] = b
-		v := fn(a, b, 0)
-		if m.perturb != nil {
-			v = m.perturb(lane, d.Unit, v)
-		}
-		rec.Vals[lane] = v
+	for lane, v := range rec.Vals {
 		if v != 0 {
 			pres |= 1 << uint(lane)
 		}
@@ -209,67 +243,22 @@ func stepSETP(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, erro
 	return rec, nil
 }
 
-// stepData executes SP/SFU data ops (including SELP): capture sources,
-// compute per lane through the pre-bound function, apply perturbation,
-// write the destination window.
+// stepData executes SP/SFU data ops (including SELP): compute the warp
+// through the pre-bound function, apply perturbation, write the
+// destination's executing lanes.
 func stepData(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, error) {
 	r := ws.Regs
-	executing := guardMask(r, d.Pred, rec.Active)
-	rec.Executing = executing
-	var lanes [3][]uint32
-	var imms [3]uint32
-	n := int(d.NSrc)
-	for i := 0; i < n; i++ {
-		lanes[i], imms[i] = d.src[i].view(r)
-	}
-	var sel simt.Mask
-	if d.selp {
-		// Fold the selector predicate into src slot 2 so the compute
-		// function stays pure and replayable.
-		sel = r.Pred[d.PSrcA]
-	}
-	var dst []uint32
+	rec.Executing = guardMask(r, d.Pred, rec.Active)
+	m.compute(d, r, rec)
 	if d.HasDst {
-		dst = r.gprLanes(d.Dst)
-	}
-	fn := d.compute
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		var a, b, c uint32
-		a = imms[0]
-		if lanes[0] != nil {
-			a = lanes[0][lane]
-		}
-		rec.SrcVals[0][lane] = a
-		if n > 1 {
-			b = imms[1]
-			if lanes[1] != nil {
-				b = lanes[1][lane]
+		dst := (*[32]uint32)(r.gprLanes(d.Dst))
+		if rec.Executing == fullWarp {
+			*dst = rec.Vals
+		} else {
+			for rem := uint32(rec.Executing); rem != 0; rem &= rem - 1 {
+				lane := bits.TrailingZeros32(rem)
+				dst[lane] = rec.Vals[lane]
 			}
-			rec.SrcVals[1][lane] = b
-		}
-		if n > 2 {
-			c = imms[2]
-			if lanes[2] != nil {
-				c = lanes[2][lane]
-			}
-			rec.SrcVals[2][lane] = c
-		}
-		if d.selp {
-			if sel.Has(lane) {
-				c = 1
-			} else {
-				c = 0
-			}
-			rec.SrcVals[2][lane] = c
-		}
-		v := fn(a, b, c)
-		if m.perturb != nil {
-			v = m.perturb(lane, d.Unit, v)
-		}
-		rec.Vals[lane] = v
-		if dst != nil {
-			dst[lane] = v
 		}
 	}
 	ws.Ctl.Advance()
@@ -280,34 +269,9 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 	r := ws.Regs
 	executing := guardMask(r, d.Pred, rec.Active)
 	rec.Executing = executing
-
-	lanes0, imm0 := d.src[0].view(r)
-	var lanes1 []uint32
-	var imm1 uint32
-	if d.NSrc > 1 {
-		lanes1, imm1 = d.src[1].view(r)
-	}
-	off := uint32(d.Off)
-	for rem := uint32(executing); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros32(rem)
-		a := imm0
-		if lanes0 != nil {
-			a = lanes0[lane]
-		}
-		rec.SrcVals[0][lane] = a
-		if d.NSrc > 1 {
-			b := imm1
-			if lanes1 != nil {
-				b = lanes1[lane]
-			}
-			rec.SrcVals[1][lane] = b
-		}
-		addr := a + off
-		if m.perturb != nil {
-			addr = m.perturb(lane, isa.UnitLDST, addr)
-		}
-		rec.Vals[lane] = addr
-	}
+	// Effective addresses into rec.Vals; src[1] is a store's or an
+	// atomic's value operand.
+	src := m.compute(d, r, rec)
 
 	switch d.Space {
 	case isa.SpaceShared:
@@ -334,7 +298,7 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 		}
 		for rem := uint32(executing); rem != 0; rem &= rem - 1 {
 			lane := bits.TrailingZeros32(rem)
-			if err := ws.store32(d.Space, rec.Vals[lane], rec.SrcVals[1][lane]); err != nil {
+			if err := ws.store32(d.Space, rec.Vals[lane], src[1][lane]); err != nil {
 				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)
 			}
 		}
@@ -346,11 +310,11 @@ func stepMemOp(m *Machine, d *Decoded, ws *WarpState, rec *Record) (*Record, err
 			var err error
 			switch {
 			case d.Space == isa.SpaceShared:
-				old, err = ws.Mem.Shared.AtomicAdd32(rec.Vals[lane], rec.SrcVals[1][lane])
+				old, err = ws.Mem.Shared.AtomicAdd32(rec.Vals[lane], src[1][lane])
 			case ws.Mem.Shadow:
 				old, err = ws.Mem.Global.Load32(rec.Vals[lane]) // read-only in shadow mode
 			default:
-				old, err = ws.Mem.Global.AtomicAdd32(rec.Vals[lane], rec.SrcVals[1][lane])
+				old, err = ws.Mem.Global.AtomicAdd32(rec.Vals[lane], src[1][lane])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("exec: pc %d lane %d: %w", rec.PC, lane, err)

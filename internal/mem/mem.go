@@ -254,19 +254,18 @@ func (p *Params) Load32(addr uint32) (uint32, error) {
 func SegmentBases(buf, addrs []uint32, active uint32, segBytes int) []uint32 {
 	seg := uint32(segBytes)
 	bases := buf[:0]
+	var seen laneSet
 	for lane, a := range addrs {
 		if active&(1<<uint(lane)) == 0 {
 			continue
 		}
 		b := a / seg * seg
-		dup := false
-		for _, x := range bases {
-			if x == b {
-				dup = true
-				break
-			}
+		// Neighbouring lanes mostly share a segment: test the last new
+		// base before the set.
+		if n := len(bases); n > 0 && bases[n-1] == b {
+			continue
 		}
-		if !dup {
+		if _, added := seen.insert(b); added {
 			bases = append(bases, b)
 		}
 	}
@@ -281,65 +280,55 @@ func BankConflictDegree(addrs []uint32, active uint32, numBanks int) int {
 	if numBanks <= 0 {
 		numBanks = 32
 	}
-	// Collect the distinct words touched (same-word accesses broadcast),
-	// counting words per bank as they are discovered. At most 32 lanes
-	// participate, so fixed buffers beat per-instruction map allocations.
-	var words [32]uint32
-	var perBank [32]uint8
-	useCnt := numBanks <= len(perBank)
-	n := 0
-	max := 1
+	// Count the distinct words touched (same-word accesses broadcast)
+	// per bank as they are discovered. At most 32 lanes participate, so
+	// fixed-size sets beat per-instruction map allocations. Bank b
+	// counts in perBank[b], or, for bank counts beyond any real shared
+	// memory, in the slot the banks set gives it.
+	var words, banks laneSet
+	var perBank [64]uint8
+	max, last := uint8(1), ^uint32(0)
 	for lane, a := range addrs {
 		if active&(1<<uint(lane)) == 0 {
 			continue
 		}
 		w := a / 4
-		dup := false
-		for i := 0; i < n; i++ {
-			if words[i] == w {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if w == last {
 			continue
 		}
-		words[n] = w
-		n++
-		if useCnt {
-			b := w % uint32(numBanks)
-			perBank[b]++
-			if c := int(perBank[b]); c > max {
-				max = c
-			}
-		}
-	}
-	if useCnt {
-		return max
-	}
-	// Oversized bank counts (beyond any real shared memory): fall back
-	// to a pairwise scan over the distinct words.
-	for i := 0; i < n; i++ {
-		b := words[i] % uint32(numBanks)
-		counted := false
-		for j := 0; j < i; j++ {
-			if words[j]%uint32(numBanks) == b {
-				counted = true
-				break
-			}
-		}
-		if counted {
+		last = w
+		if _, added := words.insert(w); !added {
 			continue
 		}
-		c := 1
-		for j := i + 1; j < n; j++ {
-			if words[j]%uint32(numBanks) == b {
-				c++
-			}
+		slot := w % uint32(numBanks)
+		if numBanks > len(perBank) {
+			slot, _ = banks.insert(slot)
 		}
-		if c > max {
-			max = c
+		perBank[slot]++
+		if perBank[slot] > max {
+			max = perBank[slot]
 		}
 	}
-	return max
+	return int(max)
+}
+
+// laneSet is a set of up to 32 keys, one warp's lanes, in a fixed-size
+// open-addressed table: linear probing over 64 slots, whose occupancy
+// is one bit each, so an empty set costs nothing to clear.
+type laneSet struct {
+	used uint64
+	keys [64]uint32
+}
+
+// insert adds k and returns its slot, and whether it was absent.
+func (s *laneSet) insert(k uint32) (slot uint32, added bool) {
+	i := k * 0x9E3779B1 >> 26 // Fibonacci hashing to 6 bits
+	for ; s.used&(1<<i) != 0; i = (i + 1) & 63 {
+		if s.keys[i] == k {
+			return i, false
+		}
+	}
+	s.used |= 1 << i
+	s.keys[i] = k
+	return i, true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"warped/internal/arch"
 	"warped/internal/cache"
@@ -234,9 +235,32 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 		sms[i] = newSM(i, g, l)
 		perSM[i] = sms[i].stats()
 	}
+	// The loop ticks only the SMs in awake, in SM index order. Every SM
+	// starts asleep; hosting a block wakes it, and the loop puts it back
+	// to sleep on the first cycle it finds it quiet. A sleeping SM's
+	// cycles are all idle issue slots, added in bulk when it wakes and
+	// by settle on every return. crashed is the index of an SM that
+	// failed part-way through cycle g.now: the SMs before it were
+	// visited in that cycle, the ones after it were not.
+	awake := newSMSet(len(sms))
+	settle := func(crashed int) {
+		for i, s := range sms {
+			if awake.has(i) {
+				continue
+			}
+			end := g.now
+			if i < crashed {
+				end++
+			}
+			s.st.IdleIssueSlots += end - s.sleptAt
+			s.sleptAt = end
+		}
+	}
+	crashed := -1
 	// Every return from here on (completion, crash, deadlock, watchdog,
 	// cancellation, StopOnError) publishes what the SMs tallied.
 	defer func() {
+		settle(crashed)
 		for _, s := range sms {
 			s.publishMetrics()
 		}
@@ -269,7 +293,7 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 		// across the chip instead of saturating low-numbered SMs.
 		for assigned := true; assigned && nextBlock < numBlocks; {
 			assigned = false
-			for _, s := range sms {
+			for i, s := range sms {
 				if nextBlock >= numBlocks {
 					break
 				}
@@ -277,6 +301,10 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 					s.host(k, nextBlock, opts.TrackRAW)
 					nextBlock++
 					assigned = true
+					if !awake.has(i) {
+						s.st.IdleIssueSlots += g.now - s.sleptAt
+						awake.add(i)
+					}
 				}
 			}
 		}
@@ -285,16 +313,24 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 			g.dramTokens = cap // bound burst credit
 		}
 		anyBusy := false
-		for _, s := range sms {
-			if s.quiet() {
-				s.st.IdleIssueSlots++ // all that tick would do
-				continue
-			}
-			if s.tick(g.now) {
-				anyBusy = true
-			}
-			if s.err != nil {
-				return nil, s.err
+		for w, word := range awake {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				s := sms[i]
+				if s.quiet() {
+					// Asleep from this cycle: idle, which is all tick
+					// would do, until a block wakes it.
+					awake.remove(i)
+					s.sleptAt = g.now
+					continue
+				}
+				if s.tick(g.now) {
+					anyBusy = true
+				}
+				if s.err != nil {
+					crashed = i
+					return nil, s.err
+				}
 			}
 		}
 		g.now++
@@ -319,6 +355,7 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 		}
 	}
 
+	settle(-1)
 	// Drain DMR state: replay anything still buffered, on now-idle units.
 	end := g.now
 	for i, s := range sms {
@@ -340,3 +377,12 @@ func (g *GPU) LaunchContext(ctx context.Context, k *Kernel, opts LaunchOpts) (*s
 	total.Cycles = end
 	return total, nil
 }
+
+// smSet is a set of SM indices, walked in ascending order.
+type smSet []uint64
+
+func newSMSet(n int) smSet { return make(smSet, (n+63)/64) }
+
+func (s smSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+func (s smSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s smSet) remove(i int)   { s[i/64] &^= 1 << (i % 64) }
